@@ -1,0 +1,73 @@
+"""Golden reports: stdout of fixed commands on the corpus, byte for byte.
+
+Rerun determinism is covered in test_cli; these files pin the reports
+across commits, printed matrices included. Only the ``command:`` line is
+skipped, since it holds the checkout path. After a deliberate output
+change, regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import os
+import sys
+
+import pytest
+
+from frobcheck.cli import run
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+MODELS = os.path.join(HERE, "models")
+GOLDEN = os.path.join(HERE, "golden")
+
+COMMANDS = {
+    "resolve_b_MF_L3": "resolve {b} -m MF -L 3",
+    "resolve_c_k_L3": "resolve {c} -m k -L 3",
+    "resolve_d_MF_L4": "resolve {d} -m MF -L 4",
+    "resolve_e_k_L4_tsv": "resolve {e} -m k -L 4 --tsv",
+    "frobenius_b_MF_n2": "frobenius {b} -m MF -n 2",
+    "frobenius_d_k_n2": "frobenius {d} -m k -n 2",
+    "tor_e_k_n1_i2_both": "tor {e} -m k -n 1 -i 2 --method both",
+    "check_free_b_MF_tsv": "check free {b} -m MF -s yz -n 1 --n-max 2 --tsv",
+    "check_gorenstein_e_tor_omega": "check gorenstein {e} --method tor-omega -s s",
+    "scan_rigidity_d_MF": "scan rigidity {d} -m MF --n-range 1..2 --i-range 1..3",
+    "info_a": "info {a}",
+    "info_b": "info {b}",
+    "info_c": "info {c}",
+    "info_d": "info {d}",
+    "info_e": "info {e}",
+}
+
+
+def _argv(command, models=MODELS):
+    paths = {k: os.path.join(models, f"{k}.json") for k in "abcde"}
+    return [tok.format(**paths) for tok in command.split()]
+
+
+def _payload(text):
+    return [line for line in text.splitlines(keepends=True)
+            if not line.startswith("command: ")]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_report(name, capsys):
+    code = run(_argv(COMMANDS[name]))
+    out = capsys.readouterr().out
+    with open(os.path.join(GOLDEN, f"{name}.txt"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert code == 0
+    assert _payload(out) == _payload(want)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    for name, command in sorted(COMMANDS.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(_argv(command))
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        shown = " ".join(_argv(command, os.path.join("tests", "models")))
+        text = "".join(f"command: {shown}\n" if line.startswith("command: ")
+                       else line for line in buf.getvalue().splitlines(True))
+        with open(os.path.join(GOLDEN, f"{name}.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
