@@ -13,7 +13,7 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
 from .frobenius import (FrobeniusPower, PushforwardModule, frobenius_complex,
                         frobenius_module, kappa_for_sop, kappa_upper_bound,
                         pushforward_presentation, tor_frobenius)
-from .invariants import (EulerCharacteristic, InvariantBundle, SopSequence,
+from .invariants import (EulerCharacteristic, InvariantBundle,
                          canonical_module, cm_type_and_gorenstein,
                          depth_of_module, depth_of_ring, dimension_of_module,
                          euler_characteristic, is_cohen_macaulay, is_mcm,

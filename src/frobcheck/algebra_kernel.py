@@ -15,13 +15,13 @@ cannot change results.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _engine
 from ._engine import EngineContext, FlatVec, GIndex, Mono, reduce_full
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import ArgumentError, InternalConsistencyError
+from .errors import ArgumentError
 
 INFINITE = math.inf
 
@@ -70,9 +70,6 @@ class Polynomial:
         if not self.terms:
             raise ArgumentError("zero polynomial has no leading monomial")
         return max(self.terms, key=self.ring.ctx.mono_key)
-
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
 
     def constant_term(self) -> int:
         return self.terms.get(self.ring.ctx.zero_mono, 0)
@@ -292,23 +289,6 @@ class RingModel:
         """Normal form of f modulo the ideal (canonical coset representative)."""
         return normal_form(f, self.ideal_groebner(budget))
 
-    def is_unit(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
-        """Unit test in R, exact for graded inputs.
-
-        A graded element with a nonzero constant term is that constant; a
-        mixed constant-plus-positive-degree normal form would mean non-graded
-        data leaked into the pipeline, which is an internal bug.
-        """
-        g = self.nf(f, budget)
-        c = g.constant_term()
-        if c == 0:
-            return False
-        if len(g.terms) != 1:
-            raise InternalConsistencyError(
-                "non-graded unit candidate encountered: "
-                f"{self.render_poly(g)}")
-        return True
-
     def dim(self, budget: Budget = DEFAULT_BUDGET) -> int:
         d = self._cache.get("dim")
         if d is None:
@@ -483,23 +463,11 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     if any(all(e == 0 for e in m) for m in leads):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    best = 0
     for size in range(nvars, 0, -1):
-        found = False
-        for combo in _subsets(nvars, size):
-            u = frozenset(combo)
-            if all(not s <= u for s in supports):
-                found = True
-                break
-        if found:
-            best = size
-            break
-    return best
-
-
-def _subsets(n: int, k: int):
-    from itertools import combinations
-    return combinations(range(n), k)
+        for combo in combinations(range(nvars), size):
+            if all(not s <= frozenset(combo) for s in supports):
+                return size
+    return 0
 
 
 def is_power_of(q: int, p: int) -> bool:

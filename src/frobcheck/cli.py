@@ -17,7 +17,9 @@ exact). Violations are rejected with positional diagnostics.
 Reports are canonical: fixed field order, no timestamps in the payload,
 byte-identical across reruns. Wall time goes to stderr. Exit codes:
 0 CONSISTENT/success, 1 PAPER_VIOLATION (implementation-bug detector),
-2 input or precondition error (including SKIPPED verdicts), 3 budget.
+2 input or precondition error (including SKIPPED verdicts and an
+unwritable --out), 3 budget, 4 internal error (an unexpected exception;
+its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,19 +30,20 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_kernel import INFINITE, Polynomial, RingModel
+from .algebra_kernel import Polynomial, RingModel
 from .budget import DEFAULT_BUDGET, Budget
 from .criteria import (CONSISTENT, GORENSTEIN_METHODS, PAPER_VIOLATION,
-                       CriterionReport, check_cor_codim1, check_cor_free,
-                       check_gorenstein, check_thm_kl, check_thm_main1,
-                       rigidity_scan)
+                       CriterionReport, _fmt, check_cor_codim1,
+                       check_cor_free, check_gorenstein, check_thm_kl,
+                       check_thm_main1, rigidity_scan)
 from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
-from .invariants import cm_type_and_gorenstein, depth_of_ring, is_sop
+from .invariants import cm_type_and_gorenstein, depth_of_ring
 from .module_engine import (PresentedModule, minimal_free_resolution,
                             minimalize, module_length)
 
@@ -428,32 +431,19 @@ def budget_from_env(env=None) -> Budget:
 # ---------------------------------------------------------------------------
 # payload helpers
 
-def _fmt(v) -> str:
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if v is INFINITE:
-        return "INFINITE"
-    return str(v)
-
-
-def _kappa_candidates(mf: ModelFile, budget: Budget) -> Dict[str, Tuple]:
-    """Named candidates: the model's s.o.p.s plus the variable heuristic."""
-    out = dict(sorted(mf.sops.items()))
-    ring = mf.ring
-    vars_seq = tuple(ring.variable(i) for i in range(len(ring.variables)))
-    if "variables" not in out and is_sop(vars_seq, ring, budget):
-        out["variables"] = vars_seq
-    return out
-
-
 def _kappa_bound(mf: ModelFile, budget: Budget) -> Tuple[int, Dict[str, int]]:
-    cands = _kappa_candidates(mf, budget)
+    """Least kappa over the model's s.o.p.s plus the variable heuristic;
+    candidates that are not a system of parameters are skipped."""
+    ring = mf.ring
+    cands = dict(sorted(mf.sops.items()))
+    cands.setdefault("variables", tuple(ring.variable(i)
+                                        for i in range(len(ring.variables))))
     per = {}
     for name, seq in cands.items():
-        if is_sop(seq, mf.ring, budget):
-            per[name] = kappa_for_sop(mf.ring, seq, budget)
+        try:
+            per[name] = kappa_for_sop(ring, seq, budget)
+        except PreconditionError:
+            continue
     if not per:
         raise PreconditionError(
             "no valid s.o.p. candidate available for a kappa upper bound; "
@@ -561,18 +551,14 @@ def _payload_tor(mf: ModelFile, name: str, n: int, i: int, method: str,
     lines.append(f"  module: {name}")
     lines.append(f"  n: {n}")
     lines.append(f"  i: {i}")
+    # "both" raises unless the two routes agree, so one result serves both
+    h = tor_frobenius(M, n, i, method, budget)
     methods = ["functor", "pushforward"] if method == "both" else [method]
-    results = {}
     for m in methods:
-        h = tor_frobenius(M, n, i, m, budget)
-        results[m] = (h.is_zero, h.length(budget))
         lines.append(f"  {m}:")
         lines.append(f"    zero: {_fmt(h.is_zero)}")
         lines.append(f"    length: {_fmt(h.length(budget))}")
     if method == "both":
-        if results["functor"] != results["pushforward"]:
-            raise InternalConsistencyError(
-                f"Tor_{i} cross-oracle mismatch: {results}")
         lines.append("  cross_oracle: agree")
     return "\n".join(lines), 0
 
@@ -774,8 +760,12 @@ def run(argv: Sequence[str]) -> int:
             raise ModelError(f"unknown command {args.command!r}")
         text = "\n".join(header) + "\n" + payload + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ModelError(f"cannot write report {args.out!r}: "
+                                 f"{e.strerror}") from e
         else:
             sys.stdout.write(text)
         print(f"wall_ms: {int((time.monotonic() - started) * 1000)}",
@@ -790,6 +780,10 @@ def run(argv: Sequence[str]) -> int:
     except (ModelError, PreconditionError, ArgumentError, FrobcheckError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .algebra_kernel import INFINITE, Polynomial, RingModel
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ArgumentError, PreconditionError
-from .frobenius import frobenius_module, tor_frobenius
+from .frobenius import cached_pushforward, frobenius_module, tor_frobenius
 from .invariants import (canonical_module, cm_type_and_gorenstein,
                          depth_of_module, depth_of_ring, dimension_of_module,
                          is_cohen_macaulay, is_mcm, is_regular_sequence,
@@ -106,6 +106,28 @@ def _record_budget(report: CriterionReport, budget: Budget) -> None:
     }
 
 
+_NO_RANK = ("rank unavailable: ring is not flagged a domain and no rank was "
+            "supplied")
+
+
+def _module_premises(report: CriterionReport, M: PresentedModule, n: int,
+                     kappa_bound: int, budget: Budget, what: str) -> int:
+    """Hypotheses shared by the module statements; returns dim R."""
+    _record_budget(report, budget)
+    d = M.ring.dim(budget)
+    _require(d > 0, f"{what} needs positive dimension")
+    _require(is_cohen_macaulay(M.ring, budget), f"{what} needs a CM ring")
+    _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")
+    _require(not M.is_zero(budget), "module is zero")
+    return d
+
+
+def _rank(M: PresentedModule, rank_override: Optional[int],
+          budget: Budget) -> Optional[int]:
+    return rank_override if rank_override is not None \
+        else rank_of_module(M, budget)
+
+
 # ---------------------------------------------------------------------------
 # projective dimension
 
@@ -137,6 +159,22 @@ def _tor_zero_table(M: PresentedModule, i_range: Sequence[int],
     return table
 
 
+def _tor_grid(d: int, n: int, kappa_bound: int, i_max: Optional[int],
+              n_max: Optional[int], cond: str) -> Tuple[int, int, int]:
+    """(i_max, n_max, n_lo) of a corollary's Tor grid, defaults filled in.
+
+    An empty window would make "all vanish" vacuously true and "one
+    vanishes" false, a contradiction that no computation produced.
+    """
+    i_max = i_max if i_max is not None else d + 1
+    n_max = n_max if n_max is not None else max(2, n)
+    n_lo = max(kappa_bound, 1)
+    _require(i_max >= 1, f"empty Tor grid: i in [1..{i_max}]")
+    _require(n_max >= n_lo, f"empty Tor grid for condition {cond}: "
+                            f"n in [{n_lo}..{n_max}]")
+    return i_max, n_max, n_lo
+
+
 def _table_quantities(report: CriterionReport, table: Dict[Tuple[int, int], bool],
                       prefix: str) -> None:
     for (n, i) in sorted(table):
@@ -153,16 +191,10 @@ def check_thm_main1(M: PresentedModule, n: int, kappa_bound: int,
     ring = M.ring
     report = CriterionReport("thm_main1", inputs={
         "module": module_name, "n": n, "kappa_upper_bound": kappa_bound})
-    _record_budget(report, budget)
-    _require(ring.dim(budget) > 0, "theorem needs positive dimension")
-    _require(is_cohen_macaulay(ring, budget), "theorem needs a CM ring")
-    _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")
-    _require(not M.is_zero(budget), "module is zero")
-    rank = rank_override if rank_override is not None \
-        else rank_of_module(M, budget)
+    _module_premises(report, M, n, kappa_bound, budget, "theorem")
+    rank = _rank(M, rank_override, budget)
     if rank is None:
-        return _skip(report, "rank unavailable: ring is not flagged a domain "
-                             "and no rank was supplied")
+        return _skip(report, _NO_RANK)
     Mmin = minimalize(M, budget)
     free = Mmin.num_relations == 0
     fnm = frobenius_module(Mmin, n, budget)
@@ -192,20 +224,12 @@ def check_thm_kl(M: PresentedModule, n: int, kappa_bound: int,
                  budget: Budget = DEFAULT_BUDGET,
                  rank_override: Optional[int] = None,
                  module_name: str = "M") -> CriterionReport:
-    ring = M.ring
     report = CriterionReport("thm_kl", inputs={
         "module": module_name, "n": n, "kappa_upper_bound": kappa_bound})
-    _record_budget(report, budget)
-    d = ring.dim(budget)
-    _require(d > 0, "theorem needs positive dimension")
-    _require(is_cohen_macaulay(ring, budget), "theorem needs a CM ring")
-    _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")
-    _require(not M.is_zero(budget), "module is zero")
-    rank = rank_override if rank_override is not None \
-        else rank_of_module(M, budget)
+    d = _module_premises(report, M, n, kappa_bound, budget, "theorem")
+    rank = _rank(M, rank_override, budget)
     if rank is None:
-        return _skip(report, "rank unavailable: ring is not flagged a domain "
-                             "and no rank was supplied")
+        return _skip(report, _NO_RANK)
     Mmin = minimalize(M, budget)
     fnm = frobenius_module(Mmin, n, budget)
     if fnm.is_zero(budget):
@@ -245,23 +269,14 @@ def check_cor_free(M: PresentedModule, x: Sequence[Polynomial], n: int,
     report = CriterionReport("cor_free", inputs={
         "module": module_name, "sop": sop_name, "n": n,
         "kappa_upper_bound": kappa_bound})
-    _record_budget(report, budget)
-    d = ring.dim(budget)
-    _require(d > 0, "corollary needs positive dimension")
-    _require(is_cohen_macaulay(ring, budget), "corollary needs a CM ring")
-    _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")
-    _require(not M.is_zero(budget), "module is zero")
+    d = _module_premises(report, M, n, kappa_bound, budget, "corollary")
+    i_max, n_max, n_lo = _tor_grid(d, n, kappa_bound, i_max, n_max, "(4)")
     _require(is_sop(x, ring, budget), "x is not a full s.o.p. for R")
     if not is_mcm(M, budget):
         return _skip(report, "module is not maximal Cohen-Macaulay")
-    rank = rank_override if rank_override is not None \
-        else rank_of_module(M, budget)
+    rank = _rank(M, rank_override, budget)
     if rank is None:
-        return _skip(report, "rank unavailable: ring is not flagged a domain "
-                             "and no rank was supplied")
-    i_max = i_max if i_max is not None else d + 1
-    n_max = n_max if n_max is not None else max(2, n)
-    n_lo = max(kappa_bound, 1)
+        return _skip(report, _NO_RANK)
     report.grid = (f"(3): i in [1..{i_max}], n in [1..{n_max}]; "
                    f"(4): i in [1..{i_max}], n in [{n_lo}..{n_max}]")
 
@@ -315,12 +330,8 @@ def check_cor_codim1(M: PresentedModule, x: Sequence[Polynomial], n: int,
     report = CriterionReport("cor_codim1", inputs={
         "module": module_name, "sop": sop_name, "n": n,
         "kappa_upper_bound": kappa_bound})
-    _record_budget(report, budget)
-    d = ring.dim(budget)
-    _require(d > 0, "corollary needs positive dimension")
-    _require(is_cohen_macaulay(ring, budget), "corollary needs a CM ring")
-    _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")
-    _require(not M.is_zero(budget), "module is zero")
+    d = _module_premises(report, M, n, kappa_bound, budget, "corollary")
+    i_max, n_max, n_lo = _tor_grid(d, n, kappa_bound, i_max, n_max, "(3)")
     dim_m = dimension_of_module(M, budget)
     if d - dim_m != 1:
         return _skip(report, f"module has codimension {d - dim_m}, not 1")
@@ -335,9 +346,6 @@ def check_cor_codim1(M: PresentedModule, x: Sequence[Polynomial], n: int,
     if module_length(mxm, budget) is INFINITE:
         return _skip(report, "x is not a s.o.p. for M (M/xM infinite)")
 
-    i_max = i_max if i_max is not None else d + 1
-    n_max = n_max if n_max is not None else max(2, n)
-    n_lo = max(kappa_bound, 1)
     report.grid = (f"(2): i in [1..{i_max}], n in [1..{n_max}]; "
                    f"(3): i in [1..{i_max}], n in [{n_lo}..{n_max}]")
 
@@ -410,13 +418,7 @@ def check_gorenstein(ring: RingModel, method: str,
             return _skip(report, "ext_pushforward needs positive dimension")
         if n < 1:
             return _skip(report, "pushforward needs n >= 1")
-        from .frobenius import pushforward_presentation
-        key = ("pushforward", n)
-        pf = ring._cache.get(key)
-        if pf is None:
-            pf = pushforward_presentation(ring, n, budget)
-            ring._cache[key] = pf
-        pfm = pf.minimalized(budget)
+        pfm = cached_pushforward(ring, n, budget).minimalized(budget)
         premise = True
         for i in range(1, d + 1):
             zero = ext(pfm, ring_as_module(ring), i, budget).is_zero

@@ -17,12 +17,11 @@ from itertools import product
 from typing import Sequence, Tuple
 
 from .algebra_kernel import (Polynomial, RingModel, buchberger,
-                             normal_form, qth_root_decompose)
+                             krull_dimension, normal_form)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
-from .invariants import is_sop
-from .module_engine import (Column, FreeComplex, HomologyModule, Matrix,
+from .module_engine import (FreeComplex, HomologyModule, Matrix,
                             PresentedModule, minimal_free_resolution,
                             minimalize, tor)
 
@@ -42,11 +41,16 @@ class FrobeniusPower:
 
 
 def _check_minimal(M: PresentedModule) -> None:
-    for col in M.columns:
-        for entry in col.values():
-            if not entry.in_maximal_ideal():
-                raise PreconditionError(
-                    "presentation has a unit entry; minimalize first")
+    zero = M.ring.ctx.zero_mono
+    if any(m == zero for col in M.columns for _, m in col):
+        raise PreconditionError(
+            "presentation has a unit entry; minimalize first")
+
+
+def _bracket(cols: Matrix, q: int) -> Matrix:
+    """Entrywise q-th powers: exponents scale by q, coefficients stay (F_p)."""
+    return [{(i, tuple(q * e for e in m)): c for (i, m), c in col.items()}
+            for col in cols]
 
 
 def frobenius_module(M: PresentedModule, n: int,
@@ -59,10 +63,8 @@ def frobenius_module(M: PresentedModule, n: int,
     """
     _check_minimal(M)
     fp = FrobeniusPower.of(M.ring, n)
-    cols: Matrix = []
-    for col in M.columns:
-        cols.append({i: e.frobenius_power(fp.q) for i, e in col.items()})
-    return PresentedModule(M.ring, M.ambient_rank, cols, budget)
+    return PresentedModule(M.ring, M.ambient_rank, _bracket(M.columns, fp.q),
+                           budget)
 
 
 def frobenius_complex(G: FreeComplex, n: int,
@@ -74,10 +76,7 @@ def frobenius_complex(G: FreeComplex, n: int,
     minimal resolution of M.
     """
     fp = FrobeniusPower.of(G.ring, n)
-    diffs = []
-    for d in G.differentials:
-        diffs.append([{i: e.frobenius_power(fp.q) for i, e in col.items()}
-                      for col in d])
+    diffs = [_bracket(d, fp.q) for d in G.differentials]
     return FreeComplex(G.ring, G.ranks, diffs, verify=True, budget=budget)
 
 
@@ -113,7 +112,8 @@ def pushforward_presentation(ring: RingModel, n: int,
     For each ideal generator g and each residue a, the q-th-root
     decomposition of g * x^a yields one relation: the components G_b are
     the coefficients of e_b, because the reconstruction identity over F_p
-    makes G_b(x)^q x^b sum to g x^a exactly.
+    makes G_b(x)^q x^b sum to g x^a exactly. A term x^e of g * x^a lands
+    in G_b with b = e mod q and exponent e div q.
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
@@ -123,15 +123,29 @@ def pushforward_presentation(ring: RingModel, n: int,
     budget.check_pushforward(count)
     residues = tuple(product(range(fp.q), repeat=v))
     index = {a: k for k, a in enumerate(residues)}
+    q = fp.q
     cols: Matrix = []
     for g in ring.ideal_gens:
         for a in residues:
-            f = g * ring.monomial(a)
-            comps = qth_root_decompose(f, fp.q)
-            col: Column = {index[b]: comp for b, comp in comps.items()}
+            col = {}
+            for m, c in g.terms.items():
+                e = [x + y for x, y in zip(m, a)]
+                col[(index[tuple(x % q for x in e)],
+                     tuple(x // q for x in e))] = c
             cols.append(col)
     pres = PresentedModule(ring, count, cols, budget)
     return PushforwardModule(pres, residues, fp)
+
+
+def cached_pushforward(ring: RingModel, n: int,
+                       budget: Budget = DEFAULT_BUDGET) -> PushforwardModule:
+    """pushforward_presentation, memoized on the ring."""
+    key = ("pushforward", n)
+    pf = ring._cache.get(key)
+    if pf is None:
+        pf = pushforward_presentation(ring, n, budget)
+        ring._cache[key] = pf
+    return pf
 
 
 def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
@@ -156,11 +170,7 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
         else:
             out_f = frobenius_complex(res, n, budget).homology_at(i, budget)
     if method in ("pushforward", "both"):
-        key = ("pushforward", n)
-        pf = M.ring._cache.get(key)
-        if pf is None:
-            pf = pushforward_presentation(M.ring, n, budget)
-            M.ring._cache[key] = pf
+        pf = cached_pushforward(M.ring, n, budget)
         out_p = tor(M, pf.minimalized(budget), i, budget)
     if method == "functor":
         return out_f
@@ -182,12 +192,13 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
 
     Found by ideal membership of each variable's p^t-th power; the value is
     an upper bound for kappa(R) since kappa is an infimum over all systems
-    of parameters.
+    of parameters. The basis of I + (x) that decides membership also
+    certifies the s.o.p.: dim R elements with dim R/(x) = 0.
     """
-    if not is_sop(x, ring, budget):
-        raise PreconditionError("sequence is not a system of parameters")
     gens = list(ring.ideal_gens) + [e for e in x if not e.is_zero()]
-    gb = buchberger(gens, ring, budget)
+    gb = buchberger(gens, ring, budget) if len(x) == ring.dim(budget) else None
+    if gb is None or krull_dimension(gb) != 0:
+        raise PreconditionError("sequence is not a system of parameters")
     t = 0
     while True:
         budget.check_kappa(t)

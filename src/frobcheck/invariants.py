@@ -22,8 +22,8 @@ from .algebra_kernel import (INFINITE, Polynomial, RingModel, buchberger,
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
-from .module_engine import (Column, PresentedModule, ext, koszul_complex,
-                            minimalize, min_generators, module_length)
+from .module_engine import (PresentedModule, ext, koszul_complex,
+                            minimalize, min_generators)
 
 
 def residue_field(ring: RingModel) -> PresentedModule:
@@ -51,21 +51,19 @@ def is_cohen_macaulay(ring: RingModel, budget: Budget = DEFAULT_BUDGET) -> bool:
 # ---------------------------------------------------------------------------
 # dimension and depth
 
-def _determinant(ring: RingModel, cols: List[Column], rows: Tuple[int, ...]
-                 ) -> Polynomial:
+def _determinant(ring: RingModel, entries: List[List[Polynomial]],
+                 rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
     # cofactor expansion along the first remaining column; fine for the
     # desk-scale minor sizes the budget admits
     if not rows:
         return ring.one()
-    first, rest = cols[0], cols[1:]
     acc = ring.zero()
     p = ring.p
     for t, r in enumerate(rows):
-        entry = first.get(r)
-        if entry is None:
+        entry = entries[r][cols[0]]
+        if entry.is_zero():
             continue
-        sub = rows[:t] + rows[t + 1:]
-        minor = _determinant(ring, rest, sub)
+        minor = _determinant(ring, entries, rows[:t] + rows[t + 1:], cols[1:])
         sign = 1 if t % 2 == 0 else p - 1
         acc = acc + (entry * minor).scale(sign)
     return acc
@@ -73,18 +71,15 @@ def _determinant(ring: RingModel, cols: List[Column], rows: Tuple[int, ...]
 
 def _minors(ring: RingModel, M: PresentedModule, size: int, budget: Budget
             ) -> List[Polynomial]:
-    cols = list(M.columns)
-    r, t = M.ambient_rank, len(cols)
+    r, t = M.ambient_rank, M.num_relations
     if size > min(r, t):
         return []
     count = comb(r, size) * comb(t, size)
     budget.check_minors(count)
-    out = []
-    for cset in combinations(range(t), size):
-        chosen = [cols[j] for j in cset]
-        for rset in combinations(range(r), size):
-            out.append(_determinant(ring, chosen, rset))
-    return out
+    entries = M.rows()
+    return [_determinant(ring, entries, rset, cset)
+            for cset in combinations(range(t), size)
+            for rset in combinations(range(r), size)]
 
 
 def dimension_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
@@ -162,52 +157,16 @@ def is_sop(x: Sequence[Polynomial], ring: RingModel,
     return krull_dimension(buchberger(gens, ring, budget)) == 0
 
 
-def is_sop_for_module(x: Sequence[Polynomial], M: PresentedModule,
-                      budget: Budget = DEFAULT_BUDGET) -> bool:
-    """dim M elements cutting M down to finite length."""
-    dim_m = dimension_of_module(M, budget)
-    if len(x) != dim_m:
-        return False
-    return module_length(quotient_by_sequence(M, x), budget) is not INFINITE
-
-
 def quotient_by_sequence(M: PresentedModule, x: Sequence[Polynomial]
                          ) -> PresentedModule:
     """M/xM: the presentation of M augmented by x times each generator."""
     cols = list(M.columns)
     for e in x:
-        if e.is_zero():
-            continue
+        if not M.ring.compatible(e.ring):
+            raise ArgumentError("sequence element outside the module's ring")
         for j in range(M.ambient_rank):
-            cols.append({j: e})
+            cols.append({(j, m): c for m, c in e.terms.items()})
     return PresentedModule(M.ring, M.ambient_rank, cols)
-
-
-@dataclass
-class SopSequence:
-    """A candidate sequence with its verification flags.
-
-    Flags are None until certified; ``certify`` fills the R-level flags.
-    Module-level verification (s.o.p. for a given M) stays with the caller
-    since it depends on the module.
-    """
-
-    elements: Tuple[Polynomial, ...]
-    is_regular_on_R: Optional[bool] = None
-    is_sop_for_R: Optional[bool] = None
-
-    @classmethod
-    def certify(cls, ring: RingModel, elements: Sequence[Polynomial],
-                budget: Budget = DEFAULT_BUDGET) -> "SopSequence":
-        elems = tuple(elements)
-        return cls(elems,
-                   is_regular_on_R=is_regular_sequence(
-                       elems, ring_as_module(ring), budget),
-                   is_sop_for_R=is_sop(elems, ring, budget))
-
-    @property
-    def c(self) -> int:
-        return len(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +252,12 @@ def canonical_module(ring: RingModel, budget: Budget = DEFAULT_BUDGET
     S = ring.ambient()
     c = len(ring.variables) - ring.dim(budget)
     r_over_s = PresentedModule(
-        S, 1, [{0: Polynomial(S, dict(g.terms))} for g in ring.ideal_gens])
+        S, 1, [{(0, m): a for m, a in g.terms.items()}
+               for g in ring.ideal_gens])
     h = ext(r_over_s, PresentedModule.free(S, 1), c, budget)
     pres = h.presentation
     omega = minimalize(
-        PresentedModule(ring, pres.ambient_rank,
-                        [dict(col) for col in pres.columns], budget),
+        PresentedModule(ring, pres.ambient_rank, pres.columns, budget),
         budget)
     ring._cache["canonical"] = omega
     return omega

@@ -1,11 +1,16 @@
 """Finitely presented modules over R = S/I and their homological algebra.
 
 A module is the cokernel of a relations matrix into a free module R^r.
-Matrices are stored as sparse columns ({row: Polynomial}); a map R^t -> R^r
-is the list of images of the t source basis vectors. Computation over R is
-realized in S by adjoining the ideal's Groebner basis times each ambient
-unit vector, so one engine serves both layers; every reported presentation
-is over R with entries in normal form.
+Matrices are lists of columns, and a column is a flat vector of the engine
+({(row, exponent tuple): coeff}); a map R^t -> R^r is the list of images of
+the t source basis vectors. Computation over R is realized in S by
+adjoining the ideal's Groebner basis times each ambient unit vector, so one
+engine serves both layers; every reported presentation is over R with
+entries in normal form.
+
+Polynomials enter only through ``PresentedModule.from_rows``, Polynomial
+vectors given to ``module_groebner`` and ``syzygies``, and the ring
+elements of ``koszul_complex``; they leave through ``rows()``.
 
 Minimal free resolutions are produced step by step: syzygies of a minimal
 differential may still be a redundant generating set, which surfaces as
@@ -20,40 +25,46 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import FlatVec, Mono
+from ._engine import FlatVec, Mono, reduce_full, vec_axpy
 from .algebra_kernel import (GroebnerBasis, INFINITE, Polynomial, RingModel,
                              standard_monomials)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ArgumentError, InternalConsistencyError
 
-Column = Dict[int, Polynomial]
-Matrix = List[Column]
+Matrix = List[FlatVec]
 
 
 # ---------------------------------------------------------------------------
 # column/matrix helpers
 
-def _flatten_column(col: Column) -> FlatVec:
+def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
+    """Normal form of a column modulo the ideal, one position at a time.
+
+    Each position's part is reduced on its own: ``reduce_full`` looks for
+    the largest term of the whole vector on every step, so one reduction of
+    a wide column would rescan all positions.
+    """
+    if not ring.ideal_gens:
+        return dict(vec)
+    G = ring.ideal_groebner(budget).index
+    parts: Dict[int, FlatVec] = {}
+    for (pos, m), c in vec.items():
+        parts.setdefault(pos, {})[(0, m)] = c
     out: FlatVec = {}
-    for pos, poly in col.items():
-        for m, c in poly.terms.items():
+    for pos, part in parts.items():
+        for (_, m), c in reduce_full(part, G, ring.ctx).items():
             out[(pos, m)] = c
     return out
 
 
-def _unflatten(ring: RingModel, vec: FlatVec) -> Column:
-    polys: Dict[int, Dict[Mono, int]] = {}
-    for (pos, m), c in vec.items():
-        polys.setdefault(pos, {})[m] = c
-    return {pos: Polynomial(ring, terms) for pos, terms in sorted(polys.items())}
-
-
-def _nf_column(ring: RingModel, col: Column, budget: Budget) -> Column:
-    out = {}
-    for pos, poly in col.items():
-        g = ring.nf(poly, budget) if ring.ideal_gens else poly
-        if not g.is_zero():
-            out[pos] = g
+def _flat(ring: RingModel, vec: Sequence[Polynomial]) -> FlatVec:
+    """The column of a vector of ring elements (a Polynomial entry point)."""
+    out: FlatVec = {}
+    for i, entry in enumerate(vec):
+        if not ring.compatible(entry.ring):
+            raise ArgumentError("entry does not lie in the module's ring")
+        for m, c in entry.terms.items():
+            out[(i, m)] = c
     return out
 
 
@@ -67,49 +78,29 @@ def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> List[FlatVec]:
     return pads
 
 
-def _scaled_column(col: Column, poly: Polynomial) -> Column:
-    out: Column = {}
-    for pos, entry in col.items():
-        out[pos] = entry * poly
-    return out
-
-
-def _add_into(ring: RingModel, acc: Column, col: Column) -> None:
-    for pos, entry in col.items():
-        cur = acc.get(pos)
-        v = entry if cur is None else cur + entry
-        if v.is_zero():
-            acc.pop(pos, None)
-        else:
-            acc[pos] = v
-
-
 def matmul(ring: RingModel, a: Matrix, b: Matrix, budget: Budget = DEFAULT_BUDGET
            ) -> Matrix:
     """Columns of A*B where B's rows index A's columns."""
     out: Matrix = []
     for bcol in b:
-        acc: Column = {}
-        for k, entry in bcol.items():
-            _add_into(ring, acc, _scaled_column(a[k], entry))
-        out.append(_nf_column(ring, acc, budget))
+        acc: FlatVec = {}
+        for (k, m), c in bcol.items():
+            vec_axpy(acc, c, m, a[k], ring.p)
+        out.append(_nf(ring, acc, budget))
     return out
 
 
 def kron_identity(matrix: Matrix, n: int) -> Matrix:
     """The map d (x) id on N^rank blocks: source index (c, j) -> c*n + j."""
-    out: Matrix = []
-    for col in matrix:
-        for j in range(n):
-            out.append({r * n + j: entry for r, entry in col.items()})
-    return out
+    return [{(r * n + j, m): c for (r, m), c in col.items()}
+            for col in matrix for j in range(n)]
 
 
 def transpose(matrix: Matrix, nrows: int) -> Matrix:
     out: Matrix = [dict() for _ in range(nrows)]
     for c, col in enumerate(matrix):
-        for r, entry in col.items():
-            out[r][c] = entry
+        for (r, m), coeff in col.items():
+            out[r][(c, m)] = coeff
     return out
 
 
@@ -128,15 +119,15 @@ class PresentedModule:
     __slots__ = ("ring", "ambient_rank", "columns", "_cache")
 
     def __init__(self, ring: RingModel, ambient_rank: int,
-                 columns: Sequence[Column], budget: Budget = DEFAULT_BUDGET):
+                 columns: Sequence[FlatVec], budget: Budget = DEFAULT_BUDGET):
         self.ring = ring
         self.ambient_rank = int(ambient_rank)
-        cleaned: List[Column] = []
+        cleaned: List[FlatVec] = []
         for col in columns:
-            for pos in col:
+            for pos, _ in col:
                 if not (0 <= pos < self.ambient_rank):
                     raise ArgumentError("relation entry outside ambient rank")
-            nf = _nf_column(ring, col, budget)
+            nf = _nf(ring, col, budget)
             if nf:
                 cleaned.append(nf)
         self.columns = tuple(cleaned)
@@ -156,23 +147,15 @@ class PresentedModule:
                 raise ArgumentError("ragged relations matrix")
         else:
             t = 0
-        cols: Matrix = []
-        for j in range(t):
-            col: Column = {}
-            for i in range(r):
-                entry = rows[i][j]
-                if not entry.is_zero():
-                    col[i] = entry
-            cols.append(col)
+        cols = [_flat(ring, [rows[i][j] for i in range(r)]) for j in range(t)]
         return cls(ring, r, cols)
 
     def rows(self) -> List[List[Polynomial]]:
-        out = [[self.ring.zero() for _ in self.columns]
-               for _ in range(self.ambient_rank)]
+        terms = [[{} for _ in self.columns] for _ in range(self.ambient_rank)]
         for j, col in enumerate(self.columns):
-            for i, entry in col.items():
-                out[i][j] = entry
-        return out
+            for (i, m), c in col.items():
+                terms[i][j][m] = c
+        return [[Polynomial(self.ring, t) for t in row] for row in terms]
 
     @property
     def num_relations(self) -> int:
@@ -181,9 +164,8 @@ class PresentedModule:
     def relations_groebner(self, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
         gb = self._cache.get("gb")
         if gb is None:
-            gb = module_groebner([_flatten_column(c) for c in self.columns],
-                                 self.ambient_rank, self.ring, budget,
-                                 _flat_input=True)
+            gb = module_groebner(self.columns, self.ambient_rank, self.ring,
+                                 budget)
             self._cache["gb"] = gb
         return gb
 
@@ -204,34 +186,36 @@ class PresentedModule:
                 f"relations={self.num_relations})")
 
 
+def _as_columns(gens, ambient_rank: int, ring: Optional[RingModel]
+                ) -> Tuple[Matrix, RingModel]:
+    """Flat columns, or length-``ambient_rank`` Polynomial vectors, as
+    columns over one ring (inferred from the entries when not given)."""
+    cols: Matrix = []
+    for v in gens:
+        if isinstance(v, dict):
+            cols.append(v)
+            continue
+        if len(v) != ambient_rank:
+            raise ArgumentError("vector length differs from ambient rank")
+        if ring is None and v:
+            ring = v[0].ring
+        cols.append(_flat(ring, v))
+    if ring is None:
+        raise ArgumentError("ring required when generators are empty")
+    return cols, ring
+
+
 def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
-                    budget: Budget = DEFAULT_BUDGET,
-                    _flat_input: bool = False) -> GroebnerBasis:
+                    budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of a submodule of R^ambient_rank.
 
-    ``gens`` are vectors of ring elements (length ambient_rank) or sparse
+    ``gens`` are vectors of ring elements (length ambient_rank) or flat
     columns. The computation lifts to S by appending the ideal basis times
     each unit vector, so normal forms against the result are canonical
     representatives of R-module cosets.
     """
-    flats: List[FlatVec] = []
-    if _flat_input:
-        flats = list(gens)
-    else:
-        for v in gens:
-            if isinstance(v, dict):
-                col = v
-            else:
-                col = {i: entry for i, entry in enumerate(v)
-                       if not entry.is_zero()}
-                if len(v) != ambient_rank:
-                    raise ArgumentError("vector length differs from ambient rank")
-            if ring is None and col:
-                ring = next(iter(col.values())).ring
-            flats.append(_flatten_column(col))
-    if ring is None:
-        raise ArgumentError("ring required when generators are empty")
-    flats = flats + _ideal_padding(ring, ambient_rank, budget)
+    cols, ring = _as_columns(gens, ambient_rank, ring)
+    flats = cols + _ideal_padding(ring, ambient_rank, budget)
     gbd = _engine.buchberger_flat(flats, ring.ctx, budget)
     descr = f"POT-grevlex(rank={ambient_rank}, weights={ring.weights})"
     return GroebnerBasis(ring, ambient_rank, gbd.index, descr)
@@ -246,21 +230,17 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
     because any relation's tail coefficients are absorbed by the other
     blocks.
     """
-    flats = [_flatten_column(c) for c in lead_cols]
-    nlead = len(flats)
-    flats += [_flatten_column(c) for c in rest_cols]
-    flats += _ideal_padding(ring, rank, budget)
+    nlead = len(lead_cols)
+    flats = list(lead_cols) + list(rest_cols) + _ideal_padding(ring, rank,
+                                                               budget)
     out: Matrix = []
     seen = set()
     for z in _engine.syzygies_flat(flats, ring.ctx, budget):
-        proj = {(i, m): c for (i, m), c in z.items() if i < nlead}
-        if not proj:
-            continue
-        col = _nf_column(ring, _unflatten(ring, proj), budget)
+        proj = {k: c for k, c in z.items() if k[0] < nlead}
+        col = _nf(ring, proj, budget)
         if not col:
             continue
-        key = tuple(sorted((pos, tuple(sorted(p.terms.items())))
-                           for pos, p in col.items()))
+        key = tuple(sorted(col.items()))
         if key not in seen:
             seen.add(key)
             out.append(col)
@@ -271,14 +251,14 @@ class SyzygyPresentation(PresentedModule):
     """Presentation of a kernel, with the embedded generators kept.
 
     ``embedded_generators[j]`` is the j-th generator of the kernel as a
-    vector inside R^embedding_rank (coefficients on the original
-    generators); the inherited presentation lives on those generators.
+    column of R^embedding_rank (coefficients on the original generators);
+    the inherited presentation lives on those generators.
     """
 
     __slots__ = ("embedded_generators", "embedding_rank")
 
-    def __init__(self, ring: RingModel, columns: Sequence[Column],
-                 embedded: Sequence[Column], embedding_rank: int,
+    def __init__(self, ring: RingModel, columns: Sequence[FlatVec],
+                 embedded: Sequence[FlatVec], embedding_rank: int,
                  budget: Budget = DEFAULT_BUDGET):
         super().__init__(ring, len(embedded), columns, budget)
         self.embedded_generators = tuple(embedded)
@@ -294,18 +274,7 @@ def syzygies(gens, ambient_rank: int, ring: Optional[RingModel] = None,
     relations. The generators themselves stay available as
     ``embedded_generators``.
     """
-    cols: Matrix = []
-    for v in gens:
-        if isinstance(v, dict):
-            cols.append(v)
-        else:
-            if len(v) != ambient_rank:
-                raise ArgumentError("vector length differs from ambient rank")
-            cols.append({i: e for i, e in enumerate(v) if not e.is_zero()})
-        if ring is None and cols[-1]:
-            ring = next(iter(cols[-1].values())).ring
-    if ring is None:
-        raise ArgumentError("ring required when generators are empty")
+    cols, ring = _as_columns(gens, ambient_rank, ring)
     embedded = _kernel_columns(ring, cols, [], ambient_rank, budget)
     rels = _kernel_columns(ring, embedded, [], len(cols), budget) \
         if embedded else []
@@ -316,21 +285,22 @@ def syzygies(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 # minimalization
 
 def _find_unit_pivot(ring: RingModel, cols: Matrix) -> Optional[Tuple[int, int, int]]:
+    zero = ring.ctx.zero_mono
     for j, col in enumerate(cols):
-        for i in sorted(col):
-            entry = col[i]
-            c = entry.constant_term()
-            if c:
-                if len(entry.terms) != 1:
-                    # exact unit detection needs graded entries; either the
-                    # caller fed non-quasi-homogeneous relations (locality
-                    # convention violated) or an engine step lost gradedness
-                    raise InternalConsistencyError(
-                        "matrix entry mixes a constant with positive-degree "
-                        f"terms ({ring.render_poly(entry)}); relation "
-                        "entries must be quasi-homogeneous for the declared "
-                        "weights")
-                return i, j, c
+        units = [pos for pos, m in col if m == zero]
+        if units:
+            i = min(units)
+            entry = {m: c for (pos, m), c in col.items() if pos == i}
+            if len(entry) != 1:
+                # exact unit detection needs graded entries; either the
+                # caller fed non-quasi-homogeneous relations (locality
+                # convention violated) or an engine step lost gradedness
+                raise InternalConsistencyError(
+                    "matrix entry mixes a constant with positive-degree "
+                    f"terms ({ring.render_poly(Polynomial(ring, entry))}); "
+                    "relation entries must be quasi-homogeneous for the "
+                    "declared weights")
+            return i, j, entry[zero]
     return None
 
 
@@ -342,6 +312,7 @@ def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
     generators: every other column c gets col_c -= (col_c[r0]/u) * col_c0,
     then row r0 and column c0 are removed.
     """
+    p = ring.p
     work: Matrix = [dict(c) for c in cols]
     alive_rows = set(range(nrows))
     while True:
@@ -350,24 +321,20 @@ def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
             break
         r0, c0, u = pivot
         uinv = ring.ctx.inv(u)
-        pivot_col = work[c0]
+        rest = {k: c for k, c in work[c0].items() if k[0] != r0}
         for j, col in enumerate(work):
             if j == c0:
                 continue
-            top = col.get(r0)
-            if top is None:
+            top = [(m, c) for (i, m), c in col.items() if i == r0]
+            if not top:
                 continue
-            lam = top.scale(uinv)
-            for i, entry in pivot_col.items():
-                if i == r0:
-                    continue
-                cur = col.get(i, ring.zero()) - lam * entry
-                cur = ring.nf(cur, budget) if ring.ideal_gens else cur
-                if cur.is_zero():
-                    col.pop(i, None)
-                else:
-                    col[i] = cur
-            del col[r0]
+            # entries of col and rest are normal forms, so only the
+            # correction needs reducing
+            delta: FlatVec = {}
+            for m, c in top:
+                del col[(r0, m)]
+                vec_axpy(delta, p - c * uinv, m, rest, p)
+            vec_axpy(col, 1, ring.ctx.zero_mono, _nf(ring, delta, budget), p)
         del work[c0]
         alive_rows.discard(r0)
     kept = sorted(alive_rows)
@@ -375,7 +342,7 @@ def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
     out: Matrix = []
     for col in work:
         if col:
-            out.append({remap[i]: e for i, e in col.items()})
+            out.append({(remap[i], m): c for (i, m), c in col.items()})
     return out, kept
 
 
@@ -451,7 +418,7 @@ class FreeComplex:
             if len(d) != self.ranks[i]:
                 raise ArgumentError(f"d_{i} has wrong column count")
             for col in d:
-                for row in col:
+                for row, _ in col:
                     if not (0 <= row < self.ranks[i - 1]):
                         raise ArgumentError(f"d_{i} row index out of range")
         if verify:
@@ -472,7 +439,7 @@ class FreeComplex:
         return self.ranks[i] if i < len(self.ranks) else 0
 
     def differential(self, i: int) -> Matrix:
-        """d_i as a list of sparse columns; zero map beyond the recorded length."""
+        """d_i as a list of flat columns; zero map beyond the recorded length."""
         if 1 <= i <= len(self.differentials):
             return [dict(c) for c in self.differentials[i - 1]]
         return [dict() for _ in range(self.rank(i))]
@@ -482,7 +449,14 @@ class FreeComplex:
 
     def homology_at(self, i: int, budget: Budget = DEFAULT_BUDGET
                     ) -> "HomologyModule":
-        return _free_homology(self, i, budget)
+        if not (0 <= i <= max(self.length, 0)):
+            raise ArgumentError(f"homology index {i} out of range")
+        free = PresentedModule.free
+        out_map = self.differential(i) if i >= 1 else None
+        out_target = free(self.ring, self.rank(i - 1)) if i >= 1 else None
+        in_map = self.differential(i + 1) if self.rank(i + 1) else None
+        return present_homology(self.ring, free(self.ring, self.rank(i)),
+                                out_map, out_target, in_map, budget)
 
     def __repr__(self) -> str:
         return f"FreeComplex(ranks={self.ranks})"
@@ -555,8 +529,7 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     if rm == 0:
         return HomologyModule(PresentedModule.free(ring, 0), True)
     if out_map is None:
-        one = ring.one()
-        kcols: Matrix = [{j: one} for j in range(rm)]
+        kcols: Matrix = [{(j, ring.ctx.zero_mono): 1} for j in range(rm)]
     else:
         rest = list(out_target.columns)
         kcols = _kernel_columns(ring, out_map, rest,
@@ -570,17 +543,6 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     rels = _kernel_columns(ring, kcols, ucols, rm, budget)
     pres = PresentedModule(ring, len(kcols), rels, budget)
     return HomologyModule(pres, pres.is_zero(budget))
-
-
-def _free_homology(C: FreeComplex, i: int, budget: Budget) -> HomologyModule:
-    if not (0 <= i <= max(C.length, 0)):
-        raise ArgumentError(f"homology index {i} out of range")
-    ring = C.ring
-    mid = PresentedModule.free(ring, C.rank(i))
-    out_map = C.differential(i) if i >= 1 else None
-    out_target = PresentedModule.free(ring, C.rank(i - 1)) if i >= 1 else None
-    in_map = C.differential(i + 1) if C.rank(i + 1) else None
-    return present_homology(ring, mid, out_map, out_target, in_map, budget)
 
 
 def homology_at(C, i: int, budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
@@ -607,11 +569,14 @@ def minimal_free_resolution(M: PresentedModule, length: int,
     if cached is not None:
         res, complete = cached
         if complete or res.length >= length:
-            return _truncate_complex(res, length)
+            if res.length <= length:
+                return res
+            return FreeComplex(res.ring, res.ranks[:length + 1],
+                               res.differentials[:length], verify=False)
     Mmin = minimalize(M, budget)
     ranks = [Mmin.ambient_rank]
     diffs: List[Matrix] = []
-    cur: Matrix = [dict(c) for c in Mmin.columns]
+    cur: Matrix = list(Mmin.columns)
     for step in range(1, length + 1):
         if not cur:
             break
@@ -634,13 +599,6 @@ def minimal_free_resolution(M: PresentedModule, length: int,
     return res
 
 
-def _truncate_complex(res: FreeComplex, length: int) -> FreeComplex:
-    if res.length <= length:
-        return res
-    return FreeComplex(res.ring, res.ranks[:length + 1],
-                       res.differentials[:length], verify=False)
-
-
 # ---------------------------------------------------------------------------
 # Koszul complexes, tensor and hom complexes, Tor, Ext
 
@@ -650,7 +608,7 @@ def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
     cols: Matrix = []
     for b in range(k):
         for col in N.columns:
-            cols.append({b * rn + i: e for i, e in col.items()})
+            cols.append({(b * rn + i, m): c for (i, m), c in col.items()})
     return PresentedModule(N.ring, k * rn, cols)
 
 
@@ -675,13 +633,12 @@ def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
         index_prev = {s: k for k, s in enumerate(bases[i - 1])}
         koszul: Matrix = []
         for s in bases[i]:
-            col: Column = {}
+            col: FlatVec = {}
             for t, var in enumerate(s):
-                rest = s[:t] + s[t + 1:]
+                row = index_prev[s[:t] + s[t + 1:]]
                 sign = 1 if t % 2 == 0 else p - 1
-                entry = elements[var].scale(sign)
-                if not entry.is_zero():
-                    col[index_prev[rest]] = entry
+                for m, coeff in elements[var].terms.items():
+                    col[(row, m)] = coeff * sign % p
             koszul.append(col)
         maps.append(kron_identity(koszul, rn))
     return ModuleComplex(ring, terms, maps)

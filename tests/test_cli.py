@@ -232,3 +232,43 @@ def test_verdict_exit_mapping():
     assert _verdict_exit("CONSISTENT") == 0
     assert _verdict_exit("PAPER_VIOLATION") == 1
     assert _verdict_exit("SKIPPED") == 2
+
+
+@pytest.mark.parametrize("argv,window", [
+    (["check", "free", "b.json", "-m", "MF", "-s", "yz", "-n", "1",
+      "--n-max", "0"], "n in [1..0]"),
+    (["check", "free", "b.json", "-m", "MF", "-s", "yz", "-n", "1",
+      "--i-max", "0"], "i in [1..0]"),
+    (["check", "codim1", "b.json", "-m", "Ry", "-s", "z", "-n", "1",
+      "--i-max", "0"], "i in [1..0]"),
+])
+def test_run_empty_tor_grid_is_an_input_error(argv, window, capsys):
+    # an empty window makes "all vanish" vacuous and "one vanishes" false;
+    # that must not read as a computed contradiction
+    argv = [model_path(a) if a == "b.json" else a for a in argv]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "PAPER_VIOLATION" not in captured.out
+    assert "empty Tor grid" in captured.err and window in captured.err
+
+
+def test_run_unwritable_out_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.txt"
+    code = run(["info", model_path("a.json"), "--out", str(target)])
+    assert code == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+
+
+def test_run_crash_exit_four(monkeypatch, capsys):
+    import frobcheck.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(cli, "_payload_info", boom)
+    code = run(["info", model_path("a.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "simulated crash" in err

@@ -27,7 +27,7 @@ def test_frobenius_module_entrywise_powers(model_b):
     F = frobenius_module(minimalize(MF), 1)
     expected = {B.nf(P(B, "x^3")), B.nf(P(B, "y^3")),
                 B.nf(P(B, "z^3")), B.nf(P(B, "-x^3"))}
-    got = {e for col in F.columns for e in col.values()}
+    got = {e for row in F.rows() for e in row if not e.is_zero()}
     assert got == expected
 
 
@@ -48,7 +48,7 @@ def test_frobenius_preserves_free(model_b):
 
 def test_frobenius_requires_minimal_presentation(model_a):
     A = model_a.ring
-    M = PresentedModule(A, 1, [{0: A.one()}])
+    M = PresentedModule.from_rows(A, [[A.one()]])
     with pytest.raises(PreconditionError):
         frobenius_module(M, 1)
 
@@ -105,8 +105,9 @@ def test_pushforward_node_relations(model_e):
     pf = pushforward_presentation(E, 1)
     assert pf.presentation.ambient_rank == 4
     # residues in lexicographic order: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
-    rels = {tuple(sorted((i, str(e)) for i, e in col.items()))
-            for col in pf.presentation.columns}
+    rels = {tuple(sorted((i, str(e)) for i, e in enumerate(col)
+                         if not e.is_zero()))
+            for col in zip(*pf.presentation.rows())}
     assert rels == {((3, "1"),), ((1, "x"),), ((2, "y"),)}
 
 

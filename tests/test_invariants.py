@@ -33,7 +33,7 @@ def test_dimension_examples(model_b):
     assert dimension_of_module(ring_as_module(B)) == 2
     assert dimension_of_module(residue_field(B)) == 0
     assert dimension_of_module(PresentedModule.from_rows(B, [[P(B, "x")]])) == 1
-    zero = PresentedModule(B, 1, [{0: B.one()}])
+    zero = PresentedModule.from_rows(B, [[B.one()]])
     assert dimension_of_module(zero) == -1
 
 
@@ -47,7 +47,7 @@ def test_depth_examples(model_a, model_b):
 
 
 def test_depth_of_zero_module_raises(model_a):
-    zero = PresentedModule(model_a.ring, 1, [{0: model_a.ring.one()}])
+    zero = PresentedModule.from_rows(model_a.ring, [[model_a.ring.one()]])
     with pytest.raises(PreconditionError):
         depth_of_module(zero)
 
@@ -57,7 +57,7 @@ def test_is_mcm_examples(model_b):
     assert is_mcm(ring_as_module(B))
     assert not is_mcm(residue_field(B))
     assert is_mcm(MF_of(model_b))
-    zero = PresentedModule(B, 1, [{0: B.one()}])
+    zero = PresentedModule.from_rows(B, [[B.one()]])
     with warnings.catch_warnings(record=True) as recorded:
         warnings.simplefilter("always")
         assert not is_mcm(zero)

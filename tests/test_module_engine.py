@@ -1,16 +1,22 @@
 """Module layer: module bases, syzygies, resolutions, Koszul homology,
 lengths, Tor, Ext, minimal generators."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcheck import (ArgumentError, INFINITE, PresentedModule, RingModel,
-                       ext, homology_at, koszul_complex, min_generators,
-                       minimal_free_resolution, minimalize, module_groebner,
-                       module_length, residue_field, ring_as_module,
-                       syzygies, tor)
-from frobcheck.cli import parse_polynomial
-from frobcheck.invariants import euler_characteristic, quotient_by_sequence
+from conftest import load_model
+from frobcheck import (ArgumentError, INFINITE, Polynomial, PresentedModule,
+                       RingModel, ext, homology_at, koszul_complex,
+                       min_generators, minimal_free_resolution, minimalize,
+                       module_groebner, module_length, residue_field,
+                       ring_as_module, syzygies, tor)
+from frobcheck.cli import _check_graded_matrix, parse_polynomial
+from frobcheck.criteria import pd_is_finite
+from frobcheck.invariants import (depth_of_module, depth_of_ring,
+                                  euler_characteristic, quotient_by_sequence)
+from frobcheck.module_engine import matmul
 
 
 def P(ring, s):
@@ -36,13 +42,19 @@ def B():
                      is_domain=True, expected_CM=True)
 
 
+def flat(vec):
+    """Flat column {(row, exponents): coeff} of a Polynomial vector."""
+    if isinstance(vec, dict):
+        return vec
+    return {(i, m): c for i, e in enumerate(vec) for m, c in e.terms.items()}
+
+
 def vecs_equal_span(ring, rank, gens_a, gens_b):
     gb_a = module_groebner(gens_a, rank, ring)
     gb_b = module_groebner(gens_b, rank, ring)
     def contained(gens, gb):
-        from frobcheck.module_engine import _flatten_column
         for col in gens:
-            if gb.reduce_flat(_flatten_column(col)):
+            if gb.reduce_flat(flat(col)):
                 return False
         return True
     return contained(gens_b, gb_a) and contained(gens_a, gb_b)
@@ -53,7 +65,7 @@ def vecs_equal_span(ring, rank, gens_a, gens_b):
 
 def test_module_groebner_distinct_positions(A):
     x, y = P(A, "x"), P(A, "y")
-    gb = module_groebner([{0: x}, {1: y}], 2, A)
+    gb = module_groebner([[x, A.zero()], [A.zero(), y]], 2, A)
     vs = gb.vectors()
     assert len(vs) == 2
     assert {tuple(str(e) for e in v) for v in vs} == {("x", "0"), ("0", "y")}
@@ -61,15 +73,14 @@ def test_module_groebner_distinct_positions(A):
 
 def test_module_groebner_identity_columns(A):
     one = A.one()
-    gb = module_groebner([{0: one}, {1: one}], 2, A)
-    from frobcheck.module_engine import _flatten_column
+    gb = module_groebner([[one, A.zero()], [A.zero(), one]], 2, A)
     # any vector reduces to zero: full module
-    assert not gb.reduce_flat(_flatten_column({0: P(A, "x^2"), 1: P(A, "y")}))
+    assert not gb.reduce_flat(flat([P(A, "x^2"), P(A, "y")]))
 
 
 def test_module_groebner_lifts_ideal(node):
     x, y = P(node, "x"), P(node, "y")
-    gb = module_groebner([{0: x, 1: y}], 2, node)
+    gb = module_groebner([[x, y]], 2, node)
     # padding adds xy*e_0 and xy*e_1 behind the scenes; the reduced basis
     # must contain an element at each position coming from the ideal
     leads = gb.leads
@@ -80,9 +91,9 @@ def test_module_groebner_lifts_ideal(node):
 
 def test_module_groebner_basis_is_reduced(node, B):
     from frobcheck._engine import mono_divides
-    for ring, gens in ((node, [{0: P(node, "x"), 1: P(node, "y")}]),
-                       (B, [{0: P(B, "x"), 1: P(B, "z")},
-                            {0: P(B, "y"), 1: P(B, "-x")}])):
+    for ring, gens in ((node, [[P(node, "x"), P(node, "y")]]),
+                       (B, [[P(B, "x"), P(B, "z")],
+                            [P(B, "y"), P(B, "-x")]])):
         gb = module_groebner(gens, 2, ring)
         leads = gb.index.leads
         for k, vec in enumerate(gb.index.elems):
@@ -100,7 +111,7 @@ def test_syzygy_koszul_relation(A):
     x, y = P(A, "x"), P(A, "y")
     syz = syzygies([[x], [y]], 1, A)
     # kernel generated by (y, x) and free on it
-    assert vecs_equal_span(A, 2, list(syz.embedded_generators), [{0: y, 1: x}])
+    assert vecs_equal_span(A, 2, list(syz.embedded_generators), [[y, x]])
     assert not syz.is_zero()
     assert module_length(syz) is INFINITE
 
@@ -116,9 +127,8 @@ def test_syzygy_over_node_contains_split_relations(node):
     x, y = P(node, "x"), P(node, "y")
     syz = syzygies([[x], [y]], 1, node)
     gb = module_groebner(list(syz.embedded_generators), 2, node)
-    from frobcheck.module_engine import _flatten_column
-    for col in ({0: y}, {1: x}):
-        assert not gb.reduce_flat(_flatten_column(col))
+    for col in ([y, node.zero()], [node.zero(), x]):
+        assert not gb.reduce_flat(flat(col))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +139,9 @@ def test_resolution_of_k_is_koszul(A):
     assert res.betti_numbers() == (1, 2, 1)
     # minimality: every entry in m
     for i in range(1, res.length + 1):
-        for col in res.differential(i):
-            for e in col.values():
+        d = PresentedModule(A, res.rank(i - 1), res.differential(i))
+        for row in d.rows():
+            for e in row:
                 assert e.in_maximal_ideal()
 
 
@@ -157,17 +168,13 @@ def test_resolution_cache_extension_invisible(node):
     long_fresh = minimal_free_resolution(fresh(), 5)
     assert long_staged.betti_numbers() == long_fresh.betti_numbers()
     for i in range(1, 6):
-        a = [sorted((r, str(e)) for r, e in col.items())
-             for col in long_staged.differential(i)]
-        b = [sorted((r, str(e)) for r, e in col.items())
-             for col in long_fresh.differential(i)]
-        assert a == b
+        assert long_staged.differential(i) == long_fresh.differential(i)
 
 
 def test_resolution_redundant_presentation_minimalizes(A):
     x, y = P(A, "x"), P(A, "y")
     # k presented with a redundant duplicate column
-    M = PresentedModule(A, 1, [{0: x}, {0: y}, {0: x}])
+    M = PresentedModule.from_rows(A, [[x, y, x]])
     res = minimal_free_resolution(M, 2)
     assert res.rank(0) == 1 and res.rank(1) == 2
 
@@ -226,7 +233,7 @@ def test_module_length_examples(A):
     assert module_length(residue_field(A)) == 1
     m2 = PresentedModule.from_rows(A, [[P(A, "x^2"), P(A, "y^2")]])
     assert module_length(m2) == 4
-    zero = PresentedModule(A, 1, [{0: A.one()}])
+    zero = PresentedModule.from_rows(A, [[A.one()]])
     assert module_length(zero) == 0
     assert module_length(ring_as_module(A)) is INFINITE
 
@@ -293,11 +300,12 @@ def test_min_generators_examples(B):
 
 def test_minimalization_leaves_entries_in_m(B):
     one = B.one()
-    M = PresentedModule(B, 2, [{0: one, 1: P(B, "x")}, {1: P(B, "y")}])
+    M = PresentedModule.from_rows(B, [[one, B.zero()],
+                                      [P(B, "x"), P(B, "y")]])
     Mm = minimalize(M)
     assert Mm.ambient_rank == 1
-    for col in Mm.columns:
-        for e in col.values():
+    for row in Mm.rows():
+        for e in row:
             assert e.in_maximal_ideal()
 
 
@@ -352,3 +360,85 @@ def test_random_modules_over_regular_ring_satisfy_ab(data):
     finite, pd = pd_is_finite(M)
     assert finite and pd <= 2
     assert depth_of_module(M) + pd == depth_of_ring(ring)
+
+
+# ---------------------------------------------------------------------------
+# property tests on weighted graded matrices
+
+WEIGHTED = RingModel(5, ["x", "y"], weights=(2, 3), is_domain=True,
+                     expected_CM=True)
+RING_D = load_model("d.json").ring      # F_5[x,y]/(y^2-x^3), weights (2,3)
+ALIEN_RINGS = (RingModel(7, ["x", "y"], weights=(2, 3)),
+               RingModel(5, ["x", "y"]),
+               RingModel(5, ["u", "v"], weights=(2, 3)))
+
+
+def _monomials_of_degree(ring, d):
+    w = ring.weights
+    return [m for m in product(*(range(d // wi + 1) for wi in w))
+            if sum(e * wi for e, wi in zip(m, w)) == d]
+
+
+@st.composite
+def graded_rows(draw, ring, row_shifts, col_degrees):
+    """Rows whose entry (i, j) is zero or quasi-homogeneous of weighted
+    degree col_degrees[j] - row_shifts[i] (always positive)."""
+    rows = []
+    for shift in row_shifts:
+        row = []
+        for deg in col_degrees:
+            terms = {}
+            if deg > shift and draw(st.integers(0, 3)) < 3:
+                for m in _monomials_of_degree(ring, deg - shift):
+                    terms[m] = draw(st.integers(1, ring.p - 1))
+            row.append(Polynomial.from_terms(ring, terms))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def composable_pair(draw, ring):
+    """Graded A (r x t) and B (t x s) with B's row shifts A's column degrees."""
+    r, t, s = (draw(st.integers(1, 3)) for _ in range(3))
+    row_a = [draw(st.integers(0, 3)) for _ in range(r)]
+    col_a = [draw(st.integers(2, 10)) for _ in range(t)]
+    col_b = [draw(st.integers(4, 16)) for _ in range(s)]
+    return (draw(graded_rows(ring, row_a, col_a)),
+            draw(graded_rows(ring, col_a, col_b)))
+
+
+def _columns(rows):
+    return [flat([row[j] for row in rows]) for j in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_weighted_graded_matrices(ring, data):
+    a, b = data.draw(composable_pair(ring))
+    _check_graded_matrix(a, ring, "A")
+    _check_graded_matrix(b, ring, "B")
+
+    # flat matmul against entrywise Polynomial products reduced by ring.nf
+    expected = []
+    for k in range(len(b[0])):
+        col = []
+        for i in range(len(a)):
+            acc = ring.zero()
+            for j in range(len(b)):
+                acc = acc + a[i][j] * b[j][k]
+            col.append(ring.nf(acc))
+        expected.append(flat(col))
+    assert matmul(ring, _columns(a), _columns(b)) == expected
+
+    M = PresentedModule.from_rows(ring, a)
+    if ring is WEIGHTED and not M.is_zero():
+        finite, pd = pd_is_finite(M)
+        assert finite
+        assert depth_of_module(M) + pd == depth_of_ring(ring)
+
+    alien = data.draw(st.sampled_from(ALIEN_RINGS))
+    bad = [list(row) for row in a]
+    bad[0][0] = alien.variable(0)
+    with pytest.raises(ArgumentError):
+        PresentedModule.from_rows(ring, bad)
