@@ -16,6 +16,7 @@ generators cannot change the output.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .budget import Budget
@@ -27,24 +28,25 @@ FlatVec = Dict[TermKey, int]
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_sub(a: Mono, b: Mono) -> Mono:
     # caller guarantees b | a
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    # exponents are nonnegative, so x * y == 0 iff one of them is 0
+    return not any(map(mul, a, b))
 
 
 class EngineContext:
@@ -103,7 +105,14 @@ def lead_term(vec: FlatVec, ctx: EngineContext) -> TermKey:
 
 
 class GIndex:
-    """A list of monic flat vectors with a per-position divisor index."""
+    """A list of monic flat vectors with a per-position index.
+
+    ``by_pos[pos]`` lists, in ascending order, the indices of the elements
+    whose lead sits at ``pos``. Under position-over-term only those leads
+    can divide a term at ``pos`` or form an S-pair with a lead there, so
+    divisor lookups, pair updates, minimalization and Schreyer pairs all
+    scan one position's list, never the whole basis.
+    """
 
     __slots__ = ("ctx", "elems", "leads", "by_pos")
 
@@ -180,48 +189,42 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
 
     Pair management follows Gebauer-Moeller: the chain filter on old pairs,
     the M and F rules on new pairs, and the product criterion only in the
-    rank-1 (ideal) case, where it is valid.
+    rank-1 (ideal) case, where it is valid. S-pairs form only between
+    leads at one position, so new pairs are drawn from ``idx.by_pos`` and
+    live pairs are kept per position: an insert touches only the leads and
+    pairs at its own position, and so does the final minimalization.
     """
     p = ctx.p
     idx = GIndex(ctx)
     reps: Optional[List[FlatVec]] = [] if track else None
     heap: list = []
-    alive_pairs: Dict[Tuple[int, int], Mono] = {}
+    alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
     rank1 = _is_rank1(gens)
     spairs = 0
 
     def gm_update(t: int) -> None:
         pt, mt = idx.leads[t]
-        cand = []
-        for i in range(t):
-            pi, mi = idx.leads[i]
-            if pi == pt:
-                cand.append((i, mono_lcm(mi, mt)))
-        # chain filter: drop old pairs strictly covered through the new lead
-        for (i, j), l in list(alive_pairs.items()):
-            if idx.leads[i][0] != pt or not mono_divides(mt, l):
-                continue
-            if mono_lcm(idx.leads[i][1], mt) != l and \
-               mono_lcm(idx.leads[j][1], mt) != l:
-                del alive_pairs[(i, j)]
-        # M rule: keep only lcm-minimal candidates
-        keep = []
-        for i, l in cand:
-            if any(j != i and l2 != l and mono_divides(l2, l)
-                   for j, l2 in cand):
-                continue
-            keep.append((i, l))
-        # F rule: one pair per lcm; product criterion kills a whole class
         by_lcm: Dict[Mono, List[int]] = {}
-        for i, l in keep:
-            by_lcm.setdefault(l, []).append(i)
+        for i in idx.by_pos[pt][:-1]:
+            by_lcm.setdefault(mono_lcm(idx.leads[i][1], mt), []).append(i)
+        # chain filter: drop old pairs strictly covered through the new lead
+        pairs = alive_pairs.setdefault(pt, {})
+        for (i, j), l in list(pairs.items()):
+            if mono_divides(mt, l) and \
+               mono_lcm(idx.leads[i][1], mt) != l and \
+               mono_lcm(idx.leads[j][1], mt) != l:
+                del pairs[(i, j)]
         for l in sorted(by_lcm):
+            # M rule: keep only lcm-minimal candidates
+            if any(l2 != l and mono_divides(l2, l) for l2 in by_lcm):
+                continue
+            # F rule: one pair per lcm; product criterion kills a whole class
             members = by_lcm[l]
             if rank1 and any(mono_coprime(idx.leads[i][1], mt)
                              for i in members):
                 continue
-            i = min(members)
-            alive_pairs[(i, t)] = l
+            i = members[0]
+            pairs[(i, t)] = l
             heapq.heappush(heap, (ctx.mono_key(l), i, t))
 
     def add_elem(vec: FlatVec, rep: Optional[FlatVec]) -> None:
@@ -244,7 +247,7 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
 
     while heap:
         key, i, j = heapq.heappop(heap)
-        l = alive_pairs.pop((i, j), None)
+        l = alive_pairs[idx.leads[i][0]].pop((i, j), None)
         if l is None:
             continue
         spairs += 1
@@ -272,19 +275,13 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
                 add_elem(h, None)
 
     # minimalize: drop elements whose lead is covered by another survivor
-    n = len(idx.elems)
     alive = []
-    for i in range(n):
-        pi, mi = idx.leads[i]
-        redundant = False
-        for j in range(n):
-            if j == i:
-                continue
-            pj, mj = idx.leads[j]
-            if pj == pi and mono_divides(mj, mi) and (mj != mi or j < i):
-                redundant = True
+    for i, (pi, mi) in enumerate(idx.leads):
+        for j in idx.by_pos[pi]:
+            mj = idx.leads[j][1]
+            if j != i and mono_divides(mj, mi) and (mj != mi or j < i):
                 break
-        if not redundant:
+        else:
             alive.append(i)
     alive.sort(key=lambda k: ctx.term_key(idx.leads[k]))
 
@@ -303,6 +300,7 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
         del vec[lead]
         if not vec:
             continue
+        budget.check_cancel()
         if track:
             rep = freps[k]
 
@@ -338,16 +336,14 @@ def syzygies_flat(gens: List[FlatVec], ctx: EngineContext,
     p = ctx.p
     gbd = buchberger_flat(gens, ctx, budget, track=True)
     G, reps = gbd.index, gbd.reps
-    m = len(G.elems)
     rank1 = _is_rank1(gens)
 
     zs: List[FlatVec] = []
-    for k in range(m):
-        pk, mk = G.leads[k]
-        for l in range(k + 1, m):
-            pl, ml = G.leads[l]
-            if pl != pk:
+    for k, (pk, mk) in enumerate(G.leads):
+        for l in G.by_pos[pk]:
+            if l <= k:
                 continue
+            ml = G.leads[l][1]
             if rank1 and mono_coprime(mk, ml):
                 # Koszul syzygy g_l e_k - g_k e_l; same Schreyer lead as the
                 # S-pair reduction would produce, no reduction needed
@@ -371,6 +367,7 @@ def syzygies_flat(gens: List[FlatVec], ctx: EngineContext,
             def collect(t: int, d: Mono, c: int, _z=z) -> None:
                 _acc(_z, (t, d), p - c, p)
 
+            budget.check_cancel()
             rem = reduce_full(u, G, ctx, on_reduce=collect)
             if rem:
                 raise InternalConsistencyError(
@@ -402,6 +399,7 @@ def syzygies_flat(gens: List[FlatVec], ctx: EngineContext,
             _acc(_b, (t, d), c, p)
 
         if f:
+            budget.check_cancel()
             rem = reduce_full(dict(f), G, ctx, on_reduce=collect)
             if rem:
                 raise InternalConsistencyError(

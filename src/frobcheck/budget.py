@@ -5,8 +5,9 @@ the kappa membership scan, pushforward construction) checks one of these limits
 and aborts with a BudgetExceededError naming the budget instead of running
 unbounded. Limits are per top-level engine invocation, not global counters, so
 a Budget value is immutable and safe to share between threads. The optional
-cancel_check callable is polled between S-pair reductions; raise from it to
-cancel a long computation.
+cancel_check callable is polled before each reduction of the flat Groebner and
+syzygy engine (S-pairs, tail reduction, Schreyer pairs, input generators);
+raise from it to cancel a long computation.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ class Budget:
     def check_spairs(self, count: int) -> None:
         if count > self.max_spairs:
             raise BudgetExceededError("max_spairs", self.max_spairs)
+        self.check_cancel()
+
+    def check_cancel(self) -> None:
         if self.cancel_check is not None:
             self.cancel_check()
 
