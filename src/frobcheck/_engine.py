@@ -11,6 +11,10 @@ Everything here is deterministic: pair selection is the normal strategy
 chosen by lowest index, and reduced bases are sorted by leading term. The
 reduced Groebner basis of a submodule is unique, so permuting the input
 generators cannot change the output.
+
+Kernels of module maps come from the same Buchberger call by eliminating
+module components (``syzygies_flat``), with no record kept of how each
+basis element arose from the generators.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from operator import add, le, mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .budget import Budget
-from .errors import InternalConsistencyError
 
 Mono = Tuple[int, ...]
 TermKey = Tuple[int, Mono]
@@ -110,8 +113,8 @@ class GIndex:
     ``by_pos[pos]`` lists, in ascending order, the indices of the elements
     whose lead sits at ``pos``. Under position-over-term only those leads
     can divide a term at ``pos`` or form an S-pair with a lead there, so
-    divisor lookups, pair updates, minimalization and Schreyer pairs all
-    scan one position's list, never the whole basis.
+    divisor lookups, pair updates and minimalization all scan one
+    position's list, never the whole basis.
     """
 
     __slots__ = ("ctx", "elems", "leads", "by_pos")
@@ -143,9 +146,10 @@ def reduce_full(vec: FlatVec, G: GIndex, ctx: EngineContext,
     """Full normal form of ``vec`` against the monic vectors in ``G``.
 
     Consumes ``vec`` (a private dict). Each reduction step subtracts
-    c * x^delta * G.elems[t]; on_reduce(t, delta, c) mirrors the step for
-    coefficient tracking. Terms moved to the output are irreducible and, in
-    a multiplicative order, strictly decreasing, so the loop terminates.
+    c * x^delta * G.elems[t] and is reported as on_reduce(t, delta, c) to
+    an observer that counts or records steps. Terms moved to the output are
+    irreducible and, in a multiplicative order, strictly decreasing, so the
+    loop terminates.
     """
     p = ctx.p
     out: FlatVec = {}
@@ -165,17 +169,12 @@ def reduce_full(vec: FlatVec, G: GIndex, ctx: EngineContext,
 
 
 class GBData:
-    """Reduced Groebner basis plus optional certificates.
+    """A reduced Groebner basis and the number of S-pairs it took."""
 
-    ``reps[k]`` expresses basis element k over the original generators (keys
-    are ``(generator_index, mono)``); present only when tracking was on.
-    """
+    __slots__ = ("index", "spairs_reduced")
 
-    __slots__ = ("index", "reps", "spairs_reduced")
-
-    def __init__(self, index: GIndex, reps, spairs_reduced: int):
+    def __init__(self, index: GIndex, spairs_reduced: int):
         self.index = index
-        self.reps = reps
         self.spairs_reduced = spairs_reduced
 
 
@@ -183,8 +182,8 @@ def _is_rank1(gens: List[FlatVec]) -> bool:
     return all(k[0] == 0 for g in gens for k in g)
 
 
-def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
-                    track: bool = False) -> GBData:
+def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
+                    budget: Budget) -> GBData:
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Pair management follows Gebauer-Moeller: the chain filter on old pairs,
@@ -196,7 +195,6 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
     """
     p = ctx.p
     idx = GIndex(ctx)
-    reps: Optional[List[FlatVec]] = [] if track else None
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
     rank1 = _is_rank1(gens)
@@ -227,23 +225,18 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
             pairs[(i, t)] = l
             heapq.heappush(heap, (ctx.mono_key(l), i, t))
 
-    def add_elem(vec: FlatVec, rep: Optional[FlatVec]) -> None:
+    def add_elem(vec: FlatVec) -> None:
         lead = lead_term(vec, ctx)
         c = vec[lead]
         if c != 1:
-            ic = ctx.inv(c)
-            vec = vec_scale(vec, ic, p)
-            if rep is not None:
-                rep = vec_scale(rep, ic, p)
+            vec = vec_scale(vec, ctx.inv(c), p)
         idx.add(vec, lead)
-        if track:
-            reps.append(rep)
         budget.check_basis(len(idx.elems))
         gm_update(len(idx.elems) - 1)
 
-    for i, g in enumerate(gens):
+    for g in gens:
         if g:
-            add_elem(dict(g), {(i, ctx.zero_mono): 1} if track else None)
+            add_elem(dict(g))
 
     while heap:
         key, i, j = heapq.heappop(heap)
@@ -258,21 +251,9 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
         u: FlatVec = {}
         vec_axpy(u, 1, di, idx.elems[i], p)
         vec_axpy(u, p - 1, dj, idx.elems[j], p)
-        if track:
-            rep: FlatVec = {}
-            vec_axpy(rep, 1, di, reps[i], p)
-            vec_axpy(rep, p - 1, dj, reps[j], p)
-
-            def mirror(t: int, d: Mono, c: int, _r=rep) -> None:
-                vec_axpy(_r, p - c, d, reps[t], p)
-
-            h = reduce_full(u, idx, ctx, on_reduce=mirror)
-            if h:
-                add_elem(h, rep)
-        else:
-            h = reduce_full(u, idx, ctx)
-            if h:
-                add_elem(h, None)
+        h = reduce_full(u, idx, ctx)
+        if h:
+            add_elem(h)
 
     # minimalize: drop elements whose lead is covered by another survivor
     alive = []
@@ -286,11 +267,8 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
     alive.sort(key=lambda k: ctx.term_key(idx.leads[k]))
 
     final = GIndex(ctx)
-    freps: Optional[List[FlatVec]] = [] if track else None
     for i in alive:
         final.add(idx.elems[i], idx.leads[i])
-        if track:
-            freps.append(reps[i])
 
     # tail reduction: leads are pairwise non-divisible so irreducibility of
     # tail terms depends on leads only; one pass yields the reduced basis
@@ -301,112 +279,28 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext, budget: Budget,
         if not vec:
             continue
         budget.check_cancel()
-        if track:
-            rep = freps[k]
-
-            def mirror(t: int, d: Mono, c: int, _r=rep) -> None:
-                vec_axpy(_r, p - c, d, freps[t], p)
-
-            nf = reduce_full(vec, final, ctx, on_reduce=mirror)
-        else:
-            nf = reduce_full(vec, final, ctx)
+        nf = reduce_full(vec, final, ctx)
         nf[lead] = 1
         final.elems[k] = nf
 
-    return GBData(final, freps, spairs)
+    return GBData(final, spairs)
 
 
-def _acc(coeffs: FlatVec, key: TermKey, c: int, p: int) -> None:
-    v = (coeffs.get(key, 0) + c) % p
-    if v:
-        coeffs[key] = v
-    else:
-        coeffs.pop(key, None)
+def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
+                  ctx: EngineContext, budget: Budget) -> List[FlatVec]:
+    """Vectors a in S^nlead with sum a_j gens[j] in the span of the rest.
 
-
-def syzygies_flat(gens: List[FlatVec], ctx: EngineContext,
-                  budget: Budget) -> List[FlatVec]:
-    """Generators of the first syzygy module of ``gens`` inside S^len(gens).
-
-    Returned vectors are keyed by ``(generator_index, mono)``. The set is a
-    generating set (usually redundant): Schreyer syzygies of the reduced
-    basis pulled back through the tracked transformation, plus the columns
-    of I - A*B expressing reducible input generators.
+    ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block.
+    Each lead generator g_j is extended to g_j + e_{rank+j} and one reduced
+    Groebner basis is computed. Under position-over-term the basis elements
+    whose lead sits at a position >= ``rank`` have no term below ``rank``
+    and form a Groebner basis of the kernel (elimination of module
+    components; Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, ch. 2). They are returned shifted down by ``rank``, keyed by
+    ``(lead_index, mono)``, in basis order.
     """
-    p = ctx.p
-    gbd = buchberger_flat(gens, ctx, budget, track=True)
-    G, reps = gbd.index, gbd.reps
-    rank1 = _is_rank1(gens)
-
-    zs: List[FlatVec] = []
-    for k, (pk, mk) in enumerate(G.leads):
-        for l in G.by_pos[pk]:
-            if l <= k:
-                continue
-            ml = G.leads[l][1]
-            if rank1 and mono_coprime(mk, ml):
-                # Koszul syzygy g_l e_k - g_k e_l; same Schreyer lead as the
-                # S-pair reduction would produce, no reduction needed
-                z: FlatVec = {}
-                for (_, mm), c in G.elems[l].items():
-                    _acc(z, (k, mm), c, p)
-                for (_, mm), c in G.elems[k].items():
-                    _acc(z, (l, mm), p - c, p)
-                zs.append(z)
-                continue
-            L = mono_lcm(mk, ml)
-            budget.check_degree(ctx.wdeg(L))
-            dk = mono_sub(L, mk)
-            dl = mono_sub(L, ml)
-            u: FlatVec = {}
-            vec_axpy(u, 1, dk, G.elems[k], p)
-            vec_axpy(u, p - 1, dl, G.elems[l], p)
-            z = {(k, dk): 1}
-            _acc(z, (l, dl), p - 1, p)
-
-            def collect(t: int, d: Mono, c: int, _z=z) -> None:
-                _acc(_z, (t, d), p - c, p)
-
-            budget.check_cancel()
-            rem = reduce_full(u, G, ctx, on_reduce=collect)
-            if rem:
-                raise InternalConsistencyError(
-                    "S-pair of a Groebner basis did not reduce to zero")
-            zs.append(z)
-
-    out: List[FlatVec] = []
-    seen = set()
-
-    def emit(s: FlatVec) -> None:
-        if not s:
-            return
-        key = tuple(sorted(s.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-
-    for z in zs:
-        s: FlatVec = {}
-        for (gidx, mm), c in sorted(z.items()):
-            vec_axpy(s, c, mm, reps[gidx], p)
-        emit(s)
-
-    # I - A*B block: one column per input generator
-    for i, f in enumerate(gens):
-        b: FlatVec = {}
-
-        def collect(t: int, d: Mono, c: int, _b=b) -> None:
-            _acc(_b, (t, d), c, p)
-
-        if f:
-            budget.check_cancel()
-            rem = reduce_full(dict(f), G, ctx, on_reduce=collect)
-            if rem:
-                raise InternalConsistencyError(
-                    "generator did not reduce to zero against its own basis")
-        s = {(i, ctx.zero_mono): 1}
-        for (t, d), c in sorted(b.items()):
-            vec_axpy(s, p - c, d, reps[t], p)
-        emit(s)
-
-    return out
+    ext = [{**g, (rank + j, ctx.zero_mono): 1}
+           for j, g in enumerate(gens[:nlead])]
+    G = buchberger_flat(ext + gens[nlead:], ctx, budget).index
+    return [{(pos - rank, m): c for (pos, m), c in g.items()}
+            for g, lead in zip(G.elems, G.leads) if lead[0] >= rank]

@@ -5,8 +5,8 @@ the kappa membership scan, pushforward construction) checks one of these limits
 and aborts with a BudgetExceededError naming the budget instead of running
 unbounded. Limits are per top-level engine invocation, not global counters, so
 a Budget value is immutable and safe to share between threads. The optional
-cancel_check callable is polled before each reduction of the flat Groebner and
-syzygy engine (S-pairs, tail reduction, Schreyer pairs, input generators);
+cancel_check callable is polled before each reduction of the flat Groebner
+engine (S-pairs and tail reduction; a kernel is one such Groebner call);
 raise from it to cancel a long computation.
 """
 

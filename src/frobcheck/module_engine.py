@@ -12,11 +12,13 @@ Polynomials enter only through ``PresentedModule.from_rows``, Polynomial
 vectors given to ``module_groebner`` and ``syzygies``, and the ring
 elements of ``koszul_complex``; they leave through ``rows()``.
 
-Minimal free resolutions are produced step by step: syzygies of a minimal
-differential may still be a redundant generating set, which surfaces as
-unit entries in the next differential; those are cancelled by a change of
-basis that deletes one source generator of the previous step (exactness is
-preserved because the cancelled pair splits off a trivial exact summand).
+Minimal free resolutions are produced step by step: the kernel basis of a
+differential may be a redundant generating set of its image, which
+surfaces as unit entries in the kernel of the next differential; those are
+cancelled by a change of basis that deletes one source generator of the
+previous step (exactness is preserved because the cancelled pair splits off
+a trivial exact summand). The last recorded differential is pruned the same
+way, so its rank is a Betti number too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
 
     Each position's part is reduced on its own: ``reduce_full`` looks for
     the largest term of the whole vector on every step, so one reduction of
-    a wide column would rescan all positions.
+    a wide column would rescan all positions. A part with no term divisible
+    by a lead of GB(I) is already a normal form and is copied as it is.
     """
     if not ring.ideal_gens:
         return dict(vec)
@@ -52,7 +55,9 @@ def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
         parts.setdefault(pos, {})[(0, m)] = c
     out: FlatVec = {}
     for pos, part in parts.items():
-        for (_, m), c in reduce_full(part, G, ring.ctx).items():
+        if any(G.find_divisor(0, m) >= 0 for _, m in part):
+            part = reduce_full(part, G, ring.ctx)
+        for (_, m), c in part.items():
             out[(pos, m)] = c
     return out
 
@@ -225,24 +230,19 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
                     rank: int, budget: Budget) -> Matrix:
     """Vectors v with (lead_cols)v in the R-span of rest_cols.
 
-    Syzygies of [lead | rest | ideal padding] in S^rank, projected onto the
-    lead block and normal-formed. The projection generates the kernel
-    because any relation's tail coefficients are absorbed by the other
-    blocks.
+    The kernel over S of [lead | rest | ideal padding] eliminated onto the
+    lead block (``syzygies_flat``), normal-formed; the vectors that vanish
+    in R are multiples of the ideal and are dropped. The result is the
+    reduced Groebner basis of the kernel read in R, which generates it but
+    need not be minimal.
     """
-    nlead = len(lead_cols)
     flats = list(lead_cols) + list(rest_cols) + _ideal_padding(ring, rank,
                                                                budget)
     out: Matrix = []
-    seen = set()
-    for z in _engine.syzygies_flat(flats, ring.ctx, budget):
-        proj = {k: c for k, c in z.items() if k[0] < nlead}
-        col = _nf(ring, proj, budget)
-        if not col:
-            continue
-        key = tuple(sorted(col.items()))
-        if key not in seen:
-            seen.add(key)
+    for z in _engine.syzygies_flat(flats, rank, len(lead_cols), ring.ctx,
+                                   budget):
+        col = _nf(ring, z, budget)
+        if col:
             out.append(col)
     return out
 
@@ -269,10 +269,9 @@ def syzygies(gens, ambient_rank: int, ring: Optional[RingModel] = None,
              budget: Budget = DEFAULT_BUDGET) -> SyzygyPresentation:
     """Present the kernel of the map R^len(gens) -> R^ambient_rank.
 
-    Schreyer-style generators of the kernel (contracted back to the input
-    generators) become the ambient basis; their own syzygies are the
-    relations. The generators themselves stay available as
-    ``embedded_generators``.
+    A Groebner basis of the kernel (coefficients on the input generators)
+    becomes the ambient basis; its own syzygies are the relations. The
+    generators themselves stay available as ``embedded_generators``.
     """
     cols, ring = _as_columns(gens, ambient_rank, ring)
     embedded = _kernel_columns(ring, cols, [], ambient_rank, budget)
@@ -557,46 +556,41 @@ def minimal_free_resolution(M: PresentedModule, length: int,
                             budget: Budget = DEFAULT_BUDGET) -> FreeComplex:
     """Minimal free resolution of M out to homological degree ``length``.
 
-    Obtained by iterated syzygies with unit cancellation at each new step;
-    every differential ends up with all entries in the maximal ideal, and
-    the recorded ranks are the Betti numbers. If a syzygy step is zero the
-    resolution stops early (finite projective dimension); callers read
-    rank(i) = 0 beyond the recorded length.
+    Obtained by iterated kernels with unit cancellation: the kernel of
+    every recorded differential, the last one included, is computed, and
+    its unit entries cancel redundant columns of that differential. So
+    every differential has all entries in the maximal ideal and the
+    recorded ranks are the Betti numbers. The pruned kernel of the last
+    differential is cached with the resolution, and a longer request
+    resumes from it. If a kernel is zero the resolution stops early (finite
+    projective dimension); callers read rank(i) = 0 beyond the recorded
+    length.
     """
     if length < 0:
         raise ArgumentError("resolution length must be nonnegative")
     cached = M._cache.get("resolution")
-    if cached is not None:
-        res, complete = cached
-        if complete or res.length >= length:
-            if res.length <= length:
-                return res
-            return FreeComplex(res.ring, res.ranks[:length + 1],
-                               res.differentials[:length], verify=False)
-    Mmin = minimalize(M, budget)
-    ranks = [Mmin.ambient_rank]
-    diffs: List[Matrix] = []
-    cur: Matrix = list(Mmin.columns)
-    for step in range(1, length + 1):
-        if not cur:
-            break
-        diffs.append(cur)
-        ranks.append(len(cur))
-        if step == length:
-            break
-        syz = _kernel_columns(M.ring, cur, [], ranks[step - 1], budget)
-        # unit entries in the syzygies mean cur's columns were a redundant
-        # generating set; cancelling them drops matching columns of cur
-        syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)
-        if len(kept) != len(cur):
-            diffs[-1] = [diffs[-1][j] for j in kept]
-            ranks[step] = len(kept)
-        cur = syz
-    # stopping before `length` means a zero syzygy appeared: pd is finite
-    complete = len(diffs) < length
-    res = FreeComplex(M.ring, ranks, diffs, verify=True, budget=budget)
-    M._cache["resolution"] = (res, complete)
-    return res
+    if cached is None:
+        Mmin = minimalize(M, budget)
+        cached = (FreeComplex(M.ring, [Mmin.ambient_rank], []),
+                  list(Mmin.columns))
+    res, cur = cached
+    if res.length < length and cur:
+        ranks = list(res.ranks)
+        diffs: List[Matrix] = [list(d) for d in res.differentials]
+        while len(diffs) < length and cur:
+            syz = _kernel_columns(M.ring, cur, [], ranks[-1], budget)
+            # unit entries in the kernel mean cur's columns were a redundant
+            # generating set; cancelling them drops matching columns of cur
+            syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)
+            diffs.append([cur[j] for j in kept])
+            ranks.append(len(kept))
+            cur = syz
+        res = FreeComplex(M.ring, ranks, diffs, verify=True, budget=budget)
+    M._cache["resolution"] = (res, cur)
+    if res.length <= length:
+        return res
+    return FreeComplex(res.ring, res.ranks[:length + 1],
+                       res.differentials[:length], verify=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Flat engine oracles: reduced module Groebner bases and syzygies checked
-by an independent term order and division, cancellation polls, and the
-benchmark tracer's bindings."""
+"""Flat engine oracles: reduced module Groebner bases checked by an
+independent term order and division, elimination kernels checked against a
+tracked Schreyer reference, cancellation polls, and the benchmark tracer's
+bindings."""
 
+import heapq
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcheck.budget import Budget
-from frobcheck._engine import EngineContext, buchberger_flat, syzygies_flat
+from frobcheck._engine import (EngineContext, GIndex, buchberger_flat,
+                               lead_term, mono_coprime, mono_divides,
+                               mono_lcm, mono_sub, reduce_full,
+                               syzygies_flat, vec_axpy, vec_scale)
 
 P = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,6 +71,125 @@ def _reduces_to_zero(vec, basis, weights):
     return True
 
 
+# ---------------------------------------------------------------------------
+# reference: Buchberger with certificates and Schreyer syzygies pulled back
+# through them, the kernel algorithm the engine used before elimination
+
+def _ref_buchberger(gens, ctx):
+    """Reduced basis plus certificates: reps[k] is keyed by (gens index,
+    mono) and combines the generators into basis element k."""
+    p = ctx.p
+    idx = GIndex(ctx)
+    reps, heap, alive_pairs = [], [], {}
+    rank1 = all(k[0] == 0 for g in gens for k in g)
+
+    def gm_update(t):
+        pt, mt = idx.leads[t]
+        by_lcm = {}
+        for i in idx.by_pos[pt][:-1]:
+            by_lcm.setdefault(mono_lcm(idx.leads[i][1], mt), []).append(i)
+        pairs = alive_pairs.setdefault(pt, {})
+        for (i, j), l in list(pairs.items()):
+            if mono_divides(mt, l) and \
+               mono_lcm(idx.leads[i][1], mt) != l and \
+               mono_lcm(idx.leads[j][1], mt) != l:
+                del pairs[(i, j)]
+        for l in sorted(by_lcm):
+            if any(l2 != l and mono_divides(l2, l) for l2 in by_lcm):
+                continue
+            members = by_lcm[l]
+            if rank1 and any(mono_coprime(idx.leads[i][1], mt)
+                             for i in members):
+                continue
+            pairs[(members[0], t)] = l
+            heapq.heappush(heap, (ctx.mono_key(l), members[0], t))
+
+    def add_elem(vec, rep):
+        lead = lead_term(vec, ctx)
+        ic = ctx.inv(vec[lead])
+        idx.add(vec_scale(vec, ic, p), lead)
+        reps.append(vec_scale(rep, ic, p))
+        gm_update(len(idx.elems) - 1)
+
+    def mirror_into(rep, certs):
+        def mirror(t, d, c):
+            vec_axpy(rep, p - c, d, certs[t], p)
+        return mirror
+
+    for i, g in enumerate(gens):
+        if g:
+            add_elem(dict(g), {(i, ctx.zero_mono): 1})
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        l = alive_pairs[idx.leads[i][0]].pop((i, j), None)
+        if l is None:
+            continue
+        di, dj = mono_sub(l, idx.leads[i][1]), mono_sub(l, idx.leads[j][1])
+        u, rep = {}, {}
+        vec_axpy(u, 1, di, idx.elems[i], p)
+        vec_axpy(u, p - 1, dj, idx.elems[j], p)
+        vec_axpy(rep, 1, di, reps[i], p)
+        vec_axpy(rep, p - 1, dj, reps[j], p)
+        h = reduce_full(u, idx, ctx, on_reduce=mirror_into(rep, reps))
+        if h:
+            add_elem(h, rep)
+
+    alive = [i for i, (pi, mi) in enumerate(idx.leads)
+             if not any(j != i and mono_divides(idx.leads[j][1], mi)
+                        and (idx.leads[j][1] != mi or j < i)
+                        for j in idx.by_pos[pi])]
+    alive.sort(key=lambda k: ctx.term_key(idx.leads[k]))
+    final, freps = GIndex(ctx), [reps[i] for i in alive]
+    for i in alive:
+        final.add(idx.elems[i], idx.leads[i])
+    for k, lead in enumerate(final.leads):
+        vec = dict(final.elems[k])
+        del vec[lead]
+        nf = reduce_full(vec, final, ctx,
+                         on_reduce=mirror_into(freps[k], freps))
+        nf[lead] = 1
+        final.elems[k] = nf
+    return final, freps
+
+
+def _ref_syzygies(gens, ctx):
+    """Generators of the syzygies of ``gens``: Schreyer syzygies of the
+    reduced basis pulled back through the certificates, plus the columns of
+    I - A*B expressing each generator over the basis."""
+    p = ctx.p
+    G, reps = _ref_buchberger(gens, ctx)
+
+    def collect_into(z, sign):
+        def collect(t, d, c):
+            _axpy(z, sign * c, d, {(t, ctx.zero_mono): 1})
+        return collect
+
+    zs = []
+    for k, (pk, mk) in enumerate(G.leads):
+        for l in G.by_pos[pk]:
+            if l <= k:
+                continue
+            L = mono_lcm(mk, G.leads[l][1])
+            dk, dl = mono_sub(L, mk), mono_sub(L, G.leads[l][1])
+            u = {}
+            vec_axpy(u, 1, dk, G.elems[k], p)
+            vec_axpy(u, p - 1, dl, G.elems[l], p)
+            z = {(k, dk): 1, (l, dl): p - 1}
+            assert not reduce_full(u, G, ctx, on_reduce=collect_into(z, -1))
+            zs.append(_combine(z, reps))
+    for i, f in enumerate(gens):
+        b = {}
+        if f:
+            assert not reduce_full(dict(f), G, ctx,
+                                   on_reduce=collect_into(b, 1))
+        s = {(i, ctx.zero_mono): 1}
+        _axpy(s, -1, ctx.zero_mono, _combine(b, reps))
+        zs.append(s)
+    return [z for z in zs if z]
+
+
+# ---------------------------------------------------------------------------
+
 @st.composite
 def module_gens(draw, nvars):
     """Generators of a submodule of S^5 with leads at one to three of the
@@ -87,22 +212,59 @@ def module_gens(draw, nvars):
     return gens
 
 
+def _monos_of_degree(weights, d):
+    return [m for m in product(range(4), repeat=len(weights))
+            if sum(w * e for w, e in zip(weights, m)) == d]
+
+
+@st.composite
+def graded_module_gens(draw, weights):
+    """Generators shaped like ``module_gens`` but graded: with a degree
+    shift per position, all terms of a generator have one degree. The
+    module layer only asks for kernels of such matrices (relation entries
+    and ring ideals are quasi-homogeneous)."""
+    shifts = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    positions = sorted(draw(st.sets(st.integers(0, 4), min_size=1,
+                                    max_size=3)))
+    mono = st.tuples(*[st.integers(0, 2)] * len(weights))
+    coeff = st.integers(1, P - 1)
+    gens = []
+    for pos in positions:
+        lower = st.sampled_from([q for q in positions if q >= pos])
+        for _ in range(draw(st.integers(1, 3))):
+            m = draw(mono)
+            deg = shifts[pos] + sum(w * e for w, e in zip(weights, m))
+            g = {(pos, m): draw(coeff)}
+            for _ in range(draw(st.integers(0, 2))):
+                q = draw(lower)
+                monos = _monos_of_degree(weights, deg - shifts[q])
+                if monos:
+                    g[(q, draw(st.sampled_from(monos)))] = draw(coeff)
+            gens.append(g)
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), {})
+    return gens
+
+
 @pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3)])
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_module_groebner_basis_and_syzygies(weights, data):
     ctx = EngineContext(P, weights)
     gens = data.draw(module_gens(len(weights)))
-    gbd = buchberger_flat(gens, ctx, Budget(), track=True)
+    gbd = buchberger_flat(gens, ctx, Budget())
     basis, leads = gbd.index.elems, gbd.index.leads
     nonzero = [g for g in gens if g]
     assert bool(basis) == bool(nonzero)
 
+    # the reference computes the same reduced basis, and its certificates
+    # put each element inside the submodule
+    ref, reps = _ref_buchberger(gens, ctx)
+    assert ref.leads == leads and ref.elems == basis
     for k, g in enumerate(basis):
         assert leads[k] == _lead(g, weights)
         assert g[leads[k]] == 1
-        # each element lies in the submodule, through its certificate
-        assert _combine(gbd.reps[k], gens) == g
+        assert _combine(reps[k], gens) == g
         for l, (q, lm) in enumerate(leads):
             if l != k and q == leads[k][0]:
                 assert not _divides(lm, leads[k][1])
@@ -129,8 +291,30 @@ def test_module_groebner_basis_and_syzygies(weights, data):
     again = buchberger_flat([gens[i] for i in perm], ctx, Budget()).index
     assert again.leads == leads and again.elems == basis
 
-    for z in syzygies_flat(gens, ctx, Budget()):
+    # the elimination kernel is a reduced basis of the syzygy module: each
+    # vector maps to zero, and it spans the same module as the reference
+    gens = data.draw(graded_module_gens(weights))
+    kernel = syzygies_flat(gens, 5, len(gens), ctx, Budget())
+    assert buchberger_flat(kernel, ctx, Budget()).index.elems == kernel
+    for z in kernel:
         assert _combine(z, gens) == {}
+    ref_syz = _ref_syzygies(gens, ctx)
+    ref_basis = buchberger_flat(ref_syz, ctx, Budget()).index.elems
+    for z in ref_syz:
+        assert _reduces_to_zero(z, kernel, weights)
+    for z in kernel:
+        assert _reduces_to_zero(z, ref_basis, weights)
+
+    # with a lead block: the kernel is the lead-block part of the syzygies
+    nlead = data.draw(st.integers(1, len(gens)))
+    kernel = syzygies_flat(gens, 5, nlead, ctx, Budget())
+    rest = buchberger_flat(gens[nlead:], ctx, Budget()).index.elems
+    for z in kernel:
+        assert {k[0] for k in z} <= set(range(nlead))
+        assert _reduces_to_zero(_combine(z, gens), rest, weights)
+    for z in ref_syz:
+        proj = {k: c for k, c in z.items() if k[0] < nlead}
+        assert _reduces_to_zero(proj, kernel, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +335,13 @@ def test_cancel_polled_in_tail_and_syzygy_reductions():
     gbd = buchberger_flat(gens, ctx, budget)
     # the tail reduction polls as well as the S-pair reductions
     assert len(polls) > gbd.spairs_reduced
-    plain = len(polls)
-    polls.clear()
 
     def cancel():
-        polls.append(1)
-        if len(polls) > plain:
-            raise Cancelled()
+        raise Cancelled()
 
-    # syzygies_flat's Buchberger call makes the same polls; the next one
-    # comes from its own reductions
+    # the kernel's one Buchberger call polls, so a raising check cancels it
     with pytest.raises(Cancelled):
-        syzygies_flat(gens, ctx, Budget(cancel_check=cancel))
-    assert len(polls) == plain + 1
+        syzygies_flat(gens, 1, len(gens), ctx, Budget(cancel_check=cancel))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_model
+from conftest import load_model, model_path
 from frobcheck import (ArgumentError, INFINITE, Polynomial, PresentedModule,
                        RingModel, ext, homology_at, koszul_complex,
                        min_generators, minimal_free_resolution, minimalize,
                        module_groebner, module_length, residue_field,
                        ring_as_module, syzygies, tor)
-from frobcheck.cli import _check_graded_matrix, parse_polynomial
+from frobcheck import module_engine
+from frobcheck.cli import _check_graded_matrix, parse_polynomial, run
 from frobcheck.criteria import pd_is_finite
 from frobcheck.invariants import (depth_of_module, depth_of_ring,
                                   euler_characteristic, quotient_by_sequence)
@@ -169,6 +170,47 @@ def test_resolution_cache_extension_invisible(node):
     assert long_staged.betti_numbers() == long_fresh.betti_numbers()
     for i in range(1, 6):
         assert long_staged.differential(i) == long_fresh.differential(i)
+
+
+def test_resolution_resumes_from_cached_kernel(monkeypatch):
+    # a longer request continues a cached resolution: only the new kernels
+    # are computed, and the differentials equal a fresh resolution's
+    ring = load_model("c.json").ring
+    kernels = []
+    orig = module_engine._kernel_columns
+
+    def counting(*args):
+        kernels.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(module_engine, "_kernel_columns", counting)
+    staged = residue_field(ring)
+    minimal_free_resolution(staged, 3)
+    assert len(kernels) == 3
+    long_staged = minimal_free_resolution(staged, 5)
+    assert len(kernels) == 5
+    long_fresh = minimal_free_resolution(residue_field(ring), 5)
+    assert long_staged.betti_numbers() == long_fresh.betti_numbers()
+    for i in range(1, 6):
+        assert long_staged.differential(i) == long_fresh.differential(i)
+
+
+def test_resolution_betti_numbers_extend(corpus, capsys):
+    # the last step is pruned like every other, so a longer resolution only
+    # appends Betti numbers; each length is resolved from scratch
+    for mf in corpus.values():
+        for M in mf.modules.values():
+            betti = [minimal_free_resolution(PresentedModule(
+                M.ring, M.ambient_rank, M.columns), L).betti_numbers()
+                for L in range(1, 7)]
+            for short, longer in zip(betti, betti[1:]):
+                assert longer[:len(short)] == short
+    for argv, want in ((["c.json", "k", "5"], "1 3 6 12 24 48"),
+                       (["b.json", "k", "2"], "1 3 4")):
+        model, module, length = argv
+        assert run(["resolve", model_path(model), "-m", module,
+                    "-L", length]) == 0
+        assert f"  betti: {want}\n" in capsys.readouterr().out
 
 
 def test_resolution_redundant_presentation_minimalizes(A):
