@@ -298,6 +298,12 @@ def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
     components; Greuel-Pfister, A Singular Introduction to Commutative
     Algebra, ch. 2). They are returned shifted down by ``rank``, keyed by
     ``(lead_index, mono)``, in basis order.
+
+    ``gens`` must be graded (some degree shift per position makes each
+    generator homogeneous), so that the extended generators and the whole
+    computation stay homogeneous; on other input the reduced kernel basis
+    can be far larger than any generating set. The module layer rejects
+    such matrices before they get here (``module_engine._require_graded``).
     """
     ext = [{**g, (rank + j, ctx.zero_mono): 1}
            for j, g in enumerate(gens[:nlead])]

@@ -44,8 +44,9 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
 from .invariants import cm_type_and_gorenstein, depth_of_ring
-from .module_engine import (PresentedModule, minimal_free_resolution,
-                            minimalize, module_length)
+from .module_engine import (PresentedModule, _flat, _require_graded,
+                            minimal_free_resolution, minimalize,
+                            module_length)
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -194,47 +195,12 @@ def _require_loc(poly: Polynomial, ring: RingModel, path: str) -> None:
 def _check_graded_matrix(rows: List[List[Polynomial]], ring: RingModel,
                          path: str) -> None:
     """Verify a consistent shift assignment: deg(e_ij) = col_j - row_i."""
-    r, t = len(rows), len(rows[0]) if rows else 0
-    deg = {}
-    for i in range(r):
-        for j in range(t):
-            if not rows[i][j].is_zero():
-                deg[(i, j)] = rows[i][j].weighted_degree()
-    pot_row: Dict[int, int] = {}
-    pot_col: Dict[int, int] = {}
-    for start in range(r):
-        if start in pot_row or not any((start, j) in deg for j in range(t)):
-            continue
-        pot_row[start] = 0
-        stack = [("r", start)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for j in range(t):
-                    if (k, j) in deg:
-                        want = pot_row[k] + deg[(k, j)]
-                        if j in pot_col:
-                            if pot_col[j] != want:
-                                raise ModelError(
-                                    f"{path}: entry at row {k + 1}, column "
-                                    f"{j + 1} breaks the graded structure "
-                                    "(no consistent degree shifts exist)")
-                        else:
-                            pot_col[j] = want
-                            stack.append(("c", j))
-            else:
-                for i in range(r):
-                    if (i, k) in deg:
-                        want = pot_col[k] - deg[(i, k)]
-                        if i in pot_row:
-                            if pot_row[i] != want:
-                                raise ModelError(
-                                    f"{path}: entry at row {i + 1}, column "
-                                    f"{k + 1} breaks the graded structure "
-                                    "(no consistent degree shifts exist)")
-                        else:
-                            pot_row[i] = want
-                            stack.append(("r", i))
+    cols = [_flat(ring, [row[j] for row in rows])
+            for j in range(len(rows[0]) if rows else 0)]
+    try:
+        _require_graded(ring, cols, len(rows))
+    except ArgumentError as exc:
+        raise ModelError(f"{path}: {exc}") from None
 
 
 def parse_model(data) -> ModelFile:

@@ -10,7 +10,9 @@ entries in normal form.
 
 Polynomials enter only through ``PresentedModule.from_rows``, Polynomial
 vectors given to ``module_groebner`` and ``syzygies``, and the ring
-elements of ``koszul_complex``; they leave through ``rows()``.
+elements of ``koszul_complex``; they leave through ``rows()``. Matrices
+must be graded (``_require_graded``): the entry points and every kernel
+computation reject those that admit no degree shifts.
 
 Minimal free resolutions are produced step by step: the kernel basis of a
 differential may be a redundant generating set of its image, which
@@ -44,8 +46,7 @@ def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
 
     Each position's part is reduced on its own: ``reduce_full`` looks for
     the largest term of the whole vector on every step, so one reduction of
-    a wide column would rescan all positions. A part with no term divisible
-    by a lead of GB(I) is already a normal form and is copied as it is.
+    a wide column would rescan all positions.
     """
     if not ring.ideal_gens:
         return dict(vec)
@@ -55,9 +56,7 @@ def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
         parts.setdefault(pos, {})[(0, m)] = c
     out: FlatVec = {}
     for pos, part in parts.items():
-        if any(G.find_divisor(0, m) >= 0 for _, m in part):
-            part = reduce_full(part, G, ring.ctx)
-        for (_, m), c in part.items():
+        for (_, m), c in reduce_full(part, G, ring.ctx).items():
             out[(pos, m)] = c
     return out
 
@@ -71,6 +70,43 @@ def _flat(ring: RingModel, vec: Sequence[Polynomial]) -> FlatVec:
         for m, c in entry.terms.items():
             out[(i, m)] = c
     return out
+
+
+def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
+    """Reject a matrix that no system of degree shifts makes graded.
+
+    Graded means row shifts s_i exist with wdeg(m) + s_i constant over the
+    terms (i, m) of each column. Kernels by elimination
+    (``_engine.syzygies_flat``) stay homogeneous on graded matrices; on
+    others their reduced bases can grow without bound, and unit entries
+    are no longer exact (``_find_unit_pivot``). Shifts are solved by a
+    union-find over rows: ``off[i]`` is s_i minus the shift of its parent.
+    """
+    wdeg = ring.ctx.wdeg
+    parent = list(range(nrows))
+    off = [0] * nrows
+
+    def find(i: int) -> Tuple[int, int]:
+        r, o = i, 0
+        while parent[r] != r:
+            o += off[r]
+            r = parent[r]
+        parent[i], off[i] = r, o
+        return r, o
+
+    for j, col in enumerate(cols):
+        top = None
+        for i, m in col:
+            r, o = find(i)
+            d = wdeg(m) + o
+            if top is None:
+                top = r, d
+            elif r != top[0]:
+                parent[r], off[r] = top[0], top[1] - d
+            elif d != top[1]:
+                raise ArgumentError(
+                    f"entry at row {i + 1}, column {j + 1} breaks the "
+                    "graded structure (no consistent degree shifts exist)")
 
 
 def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> List[FlatVec]:
@@ -153,6 +189,7 @@ class PresentedModule:
         else:
             t = 0
         cols = [_flat(ring, [rows[i][j] for i in range(r)]) for j in range(t)]
+        _require_graded(ring, cols, r)
         return cls(ring, r, cols)
 
     def rows(self) -> List[List[Polynomial]]:
@@ -194,10 +231,13 @@ class PresentedModule:
 def _as_columns(gens, ambient_rank: int, ring: Optional[RingModel]
                 ) -> Tuple[Matrix, RingModel]:
     """Flat columns, or length-``ambient_rank`` Polynomial vectors, as
-    columns over one ring (inferred from the entries when not given)."""
+    columns over one ring (inferred from the entries when not given),
+    checked to lie in R^ambient_rank and to form a graded matrix."""
     cols: Matrix = []
     for v in gens:
         if isinstance(v, dict):
+            if any(not (0 <= pos < ambient_rank) for pos, _ in v):
+                raise ArgumentError("column entry outside ambient rank")
             cols.append(v)
             continue
         if len(v) != ambient_rank:
@@ -207,6 +247,7 @@ def _as_columns(gens, ambient_rank: int, ring: Optional[RingModel]
         cols.append(_flat(ring, v))
     if ring is None:
         raise ArgumentError("ring required when generators are empty")
+    _require_graded(ring, cols, ambient_rank)
     return cols, ring
 
 
@@ -234,8 +275,9 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
     lead block (``syzygies_flat``), normal-formed; the vectors that vanish
     in R are multiples of the ideal and are dropped. The result is the
     reduced Groebner basis of the kernel read in R, which generates it but
-    need not be minimal.
+    need not be minimal. [lead | rest] must be graded.
     """
+    _require_graded(ring, list(lead_cols) + list(rest_cols), rank)
     flats = list(lead_cols) + list(rest_cols) + _ideal_padding(ring, rank,
                                                                budget)
     out: Matrix = []

@@ -220,9 +220,9 @@ def _monos_of_degree(weights, d):
 @st.composite
 def graded_module_gens(draw, weights):
     """Generators shaped like ``module_gens`` but graded: with a degree
-    shift per position, all terms of a generator have one degree. The
-    module layer only asks for kernels of such matrices (relation entries
-    and ring ideals are quasi-homogeneous)."""
+    shift per position, all terms of a generator have one degree. This is
+    the input domain of ``syzygies_flat``: the module layer rejects every
+    other matrix before elimination (tested in test_module_engine.py)."""
     shifts = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
     positions = sorted(draw(st.sets(st.integers(0, 4), min_size=1,
                                     max_size=3)))

@@ -132,6 +132,35 @@ def test_syzygy_over_node_contains_split_relations(node):
         assert not gb.reduce_flat(flat(col))
 
 
+def test_entry_points_reject_ungraded_matrices(A):
+    # x + y^2 is not quasi-homogeneous; in [[x, y], [x, y^2]] every entry
+    # is, but no degree shifts fit both columns
+    inhom = [[P(A, "x+y^2")]]
+    noshift = [[P(A, "x"), P(A, "y")], [P(A, "x"), P(A, "y^2")]]
+    for rows in (inhom, noshift):
+        cols = [[row[j] for row in rows] for j in range(len(rows[0]))]
+        with pytest.raises(ArgumentError, match="graded structure"):
+            PresentedModule.from_rows(A, rows)
+        with pytest.raises(ArgumentError, match="graded structure"):
+            module_groebner(cols, len(rows), A)
+        with pytest.raises(ArgumentError, match="graded structure"):
+            syzygies(cols, len(rows), A)
+        # flat columns given to the constructor are caught at the first kernel
+        M = PresentedModule(A, len(rows), [flat(c) for c in cols])
+        with pytest.raises(ArgumentError, match="graded structure"):
+            minimal_free_resolution(M, 2)
+    K = koszul_complex([P(A, "x+y^2")], ring_as_module(A))
+    with pytest.raises(ArgumentError, match="graded structure"):
+        homology_at(K, 1)
+
+
+def test_flat_columns_outside_ambient_rank_rejected(A):
+    e1 = {(1, A.ctx.zero_mono): 1}
+    for entry_point in (module_groebner, syzygies):
+        with pytest.raises(ArgumentError, match="outside ambient rank"):
+            entry_point([e1], 1, A)
+
+
 # ---------------------------------------------------------------------------
 # resolutions
 
