@@ -66,11 +66,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_monomial(self) -> Mono:
-        if not self.terms:
-            raise ArgumentError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.ctx.mono_key)
-
     def constant_term(self) -> int:
         return self.terms.get(self.ring.ctx.zero_mono, 0)
 
@@ -342,14 +337,12 @@ class GroebnerBasis:
     monic elements) is guaranteed by construction.
     """
 
-    __slots__ = ("ring", "ambient_rank", "index", "order_descriptor")
+    __slots__ = ("ring", "ambient_rank", "index")
 
-    def __init__(self, ring: RingModel, ambient_rank: int, index: GIndex,
-                 order_descriptor: str):
+    def __init__(self, ring: RingModel, ambient_rank: int, index: GIndex):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.index = index
-        self.order_descriptor = order_descriptor
 
     def __len__(self) -> int:
         return len(self.index.elems)
@@ -395,8 +388,7 @@ def buchberger(gens: Sequence[Polynomial], ring: RingModel,
             raise ArgumentError("generator does not lie in the model's ring")
     flat = [_poly_to_flat(g) for g in gens]
     gbd = _engine.buchberger_flat(flat, ring.ctx, budget)
-    descr = f"grevlex(weights={ring.weights})"
-    return GroebnerBasis(ring, 1, gbd.index, descr)
+    return GroebnerBasis(ring, 1, gbd.index)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

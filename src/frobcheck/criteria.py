@@ -43,8 +43,7 @@ class CriterionReport:
     """Structured verdict of one criterion check.
 
     ``inputs``, ``quantities`` and ``conditions`` keep insertion order and
-    render deterministically; ``runtime_ms`` stays outside the canonical
-    payload so reports are byte-identical across reruns.
+    render deterministically, so reports are byte-identical across reruns.
     """
 
     criterion: str
@@ -54,8 +53,6 @@ class CriterionReport:
     verdict: str = CONSISTENT
     skip_reason: Optional[str] = None
     grid: Optional[str] = None
-    budget_limits: Dict[str, object] = field(default_factory=dict)
-    runtime_ms: Optional[float] = None
 
     def render(self) -> str:
         lines = [f"criterion: {self.criterion}"]
@@ -97,15 +94,6 @@ def _skip(report: CriterionReport, reason: str) -> CriterionReport:
     return report
 
 
-def _record_budget(report: CriterionReport, budget: Budget) -> None:
-    report.budget_limits = {
-        "max_spairs": budget.max_spairs,
-        "max_basis": budget.max_basis,
-        "max_degree": budget.max_degree,
-        "max_pushforward_generators": budget.max_pushforward_generators,
-    }
-
-
 _NO_RANK = ("rank unavailable: ring is not flagged a domain and no rank was "
             "supplied")
 
@@ -113,7 +101,6 @@ _NO_RANK = ("rank unavailable: ring is not flagged a domain and no rank was "
 def _module_premises(report: CriterionReport, M: PresentedModule, n: int,
                      kappa_bound: int, budget: Budget, what: str) -> int:
     """Hypotheses shared by the module statements; returns dim R."""
-    _record_budget(report, budget)
     d = M.ring.dim(budget)
     _require(d > 0, f"{what} needs positive dimension")
     _require(is_cohen_macaulay(M.ring, budget), f"{what} needs a CM ring")
@@ -390,7 +377,6 @@ def check_gorenstein(ring: RingModel, method: str,
         raise ArgumentError(f"unknown Gorenstein method {method!r}")
     report = CriterionReport(f"gorenstein_{method}", inputs={
         "method": method, "n": n, "kappa_upper_bound": kappa_bound})
-    _record_budget(report, budget)
     d = ring.dim(budget)
     _require(is_cohen_macaulay(ring, budget), "criterion needs a CM ring")
     _require(n >= kappa_bound, f"n={n} below the kappa upper bound {kappa_bound}")

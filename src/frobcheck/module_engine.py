@@ -263,8 +263,7 @@ def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
     cols, ring = _as_columns(gens, ambient_rank, ring)
     flats = cols + _ideal_padding(ring, ambient_rank, budget)
     gbd = _engine.buchberger_flat(flats, ring.ctx, budget)
-    descr = f"POT-grevlex(rank={ambient_rank}, weights={ring.weights})"
-    return GroebnerBasis(ring, ambient_rank, gbd.index, descr)
+    return GroebnerBasis(ring, ambient_rank, gbd.index)
 
 
 def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
@@ -437,14 +436,17 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
 # complexes
 
 class FreeComplex:
-    """Chain complex of free R-modules: d_i maps step i to step i-1.
+    """Chain complex F (x) N: free R-modules F_i tensored with a module N.
 
-    ranks[i] is the rank of F_i; differentials[i-1] holds d_i. Construction
-    verifies that matrix shapes chain and that consecutive differentials
+    ranks[i] is the rank of F_i; differentials[i-1] holds d_i, which maps
+    step i to step i-1. Without coefficients N is R itself, so the complex
+    is F. ``tensor(N)`` gives coefficients; step i of F (x) N is then
+    N^ranks[i] and its differential d_i (x) id. Construction checks that
+    matrix shapes chain and, with ``verify``, that consecutive differentials
     compose to zero modulo the ring ideal.
     """
 
-    __slots__ = ("ring", "ranks", "differentials")
+    __slots__ = ("ring", "ranks", "differentials", "coefficients")
 
     def __init__(self, ring: RingModel, ranks: Sequence[int],
                  differentials: Sequence[Matrix], verify: bool = True,
@@ -453,6 +455,7 @@ class FreeComplex:
         self.ranks = tuple(int(r) for r in ranks)
         self.differentials = tuple(tuple(dict(c) for c in d)
                                    for d in differentials)
+        self.coefficients: Optional[PresentedModule] = None
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ArgumentError("rank list and differential list lengths differ")
         for i, d in enumerate(self.differentials, start=1):
@@ -469,6 +472,17 @@ class FreeComplex:
                 if any(col for col in prod):
                     raise InternalConsistencyError(
                         f"d_{i} . d_{i + 1} is nonzero modulo the ideal")
+
+    def tensor(self, N: PresentedModule) -> "FreeComplex":
+        """F (x) N, an unverified copy carrying N as its coefficients."""
+        if self.coefficients is not None:
+            raise ArgumentError("complex already has coefficients")
+        if not self.ring.compatible(N.ring):
+            raise ArgumentError("coefficients live over a different ring")
+        out = FreeComplex(self.ring, self.ranks, self.differentials,
+                          verify=False)
+        out.coefficients = N
+        return out
 
     @property
     def length(self) -> int:
@@ -490,48 +504,28 @@ class FreeComplex:
 
     def homology_at(self, i: int, budget: Budget = DEFAULT_BUDGET
                     ) -> "HomologyModule":
+        """H_i(F (x) N) = ker(d_i (x) id) / im(d_{i+1} (x) id).
+
+        Builds only the terms it reads: N^rank(i), N^rank(i-1) and the two
+        maps. A zero neighbouring step contributes no map.
+        """
         if not (0 <= i <= max(self.length, 0)):
             raise ArgumentError(f"homology index {i} out of range")
-        free = PresentedModule.free
-        out_map = self.differential(i) if i >= 1 else None
-        out_target = free(self.ring, self.rank(i - 1)) if i >= 1 else None
-        in_map = self.differential(i + 1) if self.rank(i + 1) else None
-        return present_homology(self.ring, free(self.ring, self.rank(i)),
+        N = self.coefficients
+        if N is None:
+            N = PresentedModule.free(self.ring, 1)
+        rn = N.ambient_rank
+        out_map = out_target = in_map = None
+        if i >= 1 and self.rank(i - 1):
+            out_map = kron_identity(self.differential(i), rn)
+            out_target = _tensor_presented(N, self.rank(i - 1))
+        if self.rank(i + 1):
+            in_map = kron_identity(self.differential(i + 1), rn)
+        return present_homology(self.ring, _tensor_presented(N, self.rank(i)),
                                 out_map, out_target, in_map, budget)
 
     def __repr__(self) -> str:
         return f"FreeComplex(ranks={self.ranks})"
-
-
-class ModuleComplex:
-    """Complex whose terms are presented modules and whose maps are ambient
-    matrices compatible with the relations (e.g. a Koszul complex tensored
-    with a module)."""
-
-    __slots__ = ("ring", "terms", "maps")
-
-    def __init__(self, ring: RingModel, terms: Sequence[PresentedModule],
-                 maps: Sequence[Matrix]):
-        self.ring = ring
-        self.terms = tuple(terms)
-        self.maps = tuple(tuple(dict(c) for c in m) for m in maps)
-        if len(self.maps) != max(len(self.terms) - 1, 0):
-            raise ArgumentError("terms/maps length mismatch")
-
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-    def homology_at(self, i: int, budget: Budget = DEFAULT_BUDGET
-                    ) -> "HomologyModule":
-        if not (0 <= i <= self.length):
-            raise ArgumentError(f"homology index {i} out of range")
-        mid = self.terms[i]
-        out_map = list(self.maps[i - 1]) if i >= 1 else None
-        out_target = self.terms[i - 1] if i >= 1 else None
-        in_map = list(self.maps[i]) if i < self.length else None
-        return present_homology(self.ring, mid, out_map, out_target, in_map,
-                                budget)
 
 
 class HomologyModule:
@@ -586,8 +580,9 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     return HomologyModule(pres, pres.is_zero(budget))
 
 
-def homology_at(C, i: int, budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
-    """Homology of a FreeComplex or ModuleComplex at homological degree i."""
+def homology_at(C: FreeComplex, i: int, budget: Budget = DEFAULT_BUDGET
+                ) -> HomologyModule:
+    """Homology of a complex (with its coefficients) at homological degree i."""
     return C.homology_at(i, budget)
 
 
@@ -636,7 +631,7 @@ def minimal_free_resolution(M: PresentedModule, length: int,
 
 
 # ---------------------------------------------------------------------------
-# Koszul complexes, tensor and hom complexes, Tor, Ext
+# Koszul complexes, Tor, Ext
 
 def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
     """N^k with generator (free index b, N index j) at position b*rN + j."""
@@ -649,11 +644,12 @@ def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
 
 
 def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
-                   ) -> ModuleComplex:
-    """Exterior-algebra complex on the given elements tensored with M.
+                   ) -> FreeComplex:
+    """Koszul complex on the given elements, tensored with M.
 
-    Step i has ambient rank binomial(c, i) * mu-ambient(M); the basis of
-    step i is indexed by sorted i-subsets of the elements.
+    Step i of the free complex has rank binomial(c, i), its basis indexed
+    by the sorted i-subsets of the elements; the result carries M as its
+    coefficients, so homology_at(i) is the Koszul homology H_i(elements; M).
     """
     ring = M.ring
     for e in elements:
@@ -661,10 +657,8 @@ def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
             raise ArgumentError("Koszul element outside the module's ring")
     c = len(elements)
     bases = [list(combinations(range(c), i)) for i in range(c + 1)]
-    terms = [_tensor_presented(M, len(bases[i])) for i in range(c + 1)]
-    maps: List[Matrix] = []
-    rn = M.ambient_rank
     p = ring.p
+    diffs: List[Matrix] = []
     for i in range(1, c + 1):
         index_prev = {s: k for k, s in enumerate(bases[i - 1])}
         koszul: Matrix = []
@@ -676,61 +670,43 @@ def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
                 for m, coeff in elements[var].terms.items():
                     col[(row, m)] = coeff * sign % p
             koszul.append(col)
-        maps.append(kron_identity(koszul, rn))
-    return ModuleComplex(ring, terms, maps)
-
-
-def tensor_with_module(res: FreeComplex, N: PresentedModule,
-                       upto: int) -> ModuleComplex:
-    """G_* (x) N out to step ``upto`` (zero terms beyond the resolution)."""
-    terms = [_tensor_presented(N, res.rank(i)) for i in range(upto + 1)]
-    maps = [kron_identity(res.differential(i), N.ambient_rank)
-            for i in range(1, upto + 1)]
-    return ModuleComplex(res.ring, terms, maps)
-
-
-def hom_into_module(res: FreeComplex, N: PresentedModule,
-                    upto: int) -> ModuleComplex:
-    """Cochain complex Hom(G_*, N): terms N^{b_i}, maps the transposed
-    differentials (maps[i] is the coboundary Hom(G_i,N) -> Hom(G_{i+1},N))."""
-    terms = [_tensor_presented(N, res.rank(i)) for i in range(upto + 1)]
-    maps: List[Matrix] = []
-    for i in range(1, upto + 1):
-        d = res.differential(i)
-        maps.append(kron_identity(transpose(d, res.rank(i - 1)),
-                                  N.ambient_rank))
-    return ModuleComplex(res.ring, terms, maps)
+        diffs.append(koszul)
+    return FreeComplex(ring, [len(b) for b in bases], diffs,
+                       verify=False).tensor(M)
 
 
 def tor(M: PresentedModule, N: PresentedModule, i: int,
         budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
-    """Tor_i over R: homology of (minimal resolution of M) (x) N."""
+    """Tor_i over R: H_i of (minimal resolution of M) (x) N.
+
+    Zero when the resolution stops before step i (pd M < i).
+    """
     if i < 0:
         raise ArgumentError("Tor index must be nonnegative")
     if not M.ring.compatible(N.ring):
         raise ArgumentError("Tor arguments live over different rings")
     res = minimal_free_resolution(M, i + 1, budget)
-    cx = tensor_with_module(res, N, i + 1)
-    return cx.homology_at(i, budget)
+    if i > res.length:
+        return HomologyModule(PresentedModule.free(M.ring, 0), True)
+    return res.tensor(N).homology_at(i, budget)
 
 
 def ext(M: PresentedModule, N: PresentedModule, i: int,
         budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
-    """Ext^i over R: cohomology of Hom(minimal resolution of M, N).
+    """Ext^i over R: cohomology of Hom(minimal resolution G of M, N).
 
-    ker(Hom(G_i,N) -> Hom(G_{i+1},N)) / im(Hom(G_{i-1},N) -> Hom(G_i,N)).
+    Hom(G_j, N) is G_j* (x) N, so Ext^i is H_1 of the three-step dual
+    complex G_{i+1}* <- G_i* <- G_{i-1}* (transposed differentials)
+    tensored with N.
     """
     if i < 0:
         raise ArgumentError("Ext index must be nonnegative")
     if not M.ring.compatible(N.ring):
         raise ArgumentError("Ext arguments live over different rings")
-    ring = M.ring
     res = minimal_free_resolution(M, i + 1, budget)
-    hom = hom_into_module(res, N, i + 1)
-    mid = hom.terms[i]
-    out_map = list(hom.maps[i]) if i < len(hom.maps) and res.rank(i + 1) else None
-    out_target = hom.terms[i + 1] if out_map is not None else None
-    in_map = list(hom.maps[i - 1]) if i >= 1 else None
-    if in_map is not None and not res.rank(i - 1):
-        in_map = None
-    return present_homology(ring, mid, out_map, out_target, in_map, budget)
+    dual = FreeComplex(
+        M.ring, [res.rank(i + 1), res.rank(i), res.rank(i - 1)],
+        [transpose(res.differential(i + 1), res.rank(i)),
+         transpose(res.differential(i), res.rank(i - 1))],
+        verify=False)
+    return dual.tensor(N).homology_at(1, budget)
