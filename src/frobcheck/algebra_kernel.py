@@ -242,6 +242,13 @@ class RingModel:
     def compatible(self, other: "RingModel") -> bool:
         return self is other or self.signature() == other.signature()
 
+    def same_quotient(self, other: "RingModel", budget: Budget) -> bool:
+        """Same S and the same ideal: reduced Groebner bases are unique."""
+        return self is other or (
+            self.compatible(other)
+            and self.ideal_groebner(budget).index.elems
+            == other.ideal_groebner(budget).index.elems)
+
     def full_signature(self) -> tuple:
         return self.signature() + tuple(
             sorted(tuple(sorted(g.terms.items())) for g in self.ideal_gens))
@@ -351,6 +358,12 @@ class GroebnerBasis:
     def leads(self) -> List[Tuple[int, Mono]]:
         return list(self.index.leads)
 
+    def leads_by_position(self) -> List[List[Mono]]:
+        """Generators of the leading ideal at each ambient position."""
+        idx = self.index
+        return [[idx.leads[k][1] for k in idx.by_pos.get(j, ())]
+                for j in range(self.ambient_rank)]
+
     def polynomials(self) -> List[Polynomial]:
         if self.ambient_rank != 1:
             raise ArgumentError("polynomials() requires an ideal basis")
@@ -433,9 +446,8 @@ def colength_and_standard_monomials(gb: GroebnerBasis):
     """
     if gb.ambient_rank != 1:
         raise ArgumentError("colength requires an ideal basis")
-    nvars = len(gb.ring.variables)
-    leads = [m for (_, m) in gb.index.leads]
-    count, basis = standard_monomials(leads, nvars)
+    count, basis = standard_monomials(gb.leads_by_position()[0],
+                                      len(gb.ring.variables))
     if basis is None:
         return INFINITE, None
     key = gb.ring.ctx.mono_key
@@ -443,23 +455,27 @@ def colength_and_standard_monomials(gb: GroebnerBasis):
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
-    """Krull dimension of S/J from maximal independent variable sets.
+    """Krull dimension of S^r/J from its leading terms.
 
-    A subset U of variables is independent when no leading monomial is
-    supported inside U; dim = max |U|. Returns -1 for the unit ideal.
+    S^r/J and S^r/in(J) share a Hilbert function (Macaulay), and in(J) is
+    a direct sum of monomial ideals, one per position; the dimension is the
+    largest over positions. At one position a subset U of variables is
+    independent when no leading monomial is supported inside U, and the
+    dimension is max |U|. Returns -1 when every position has a unit lead
+    (J is everything).
     """
-    if gb.ambient_rank != 1:
-        raise ArgumentError("krull_dimension requires an ideal basis")
     nvars = len(gb.ring.variables)
-    leads = [m for (_, m) in gb.index.leads]
-    if any(all(e == 0 for e in m) for m in leads):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    for size in range(nvars, 0, -1):
-        for combo in combinations(range(nvars), size):
-            if all(not s <= frozenset(combo) for s in supports):
-                return size
-    return 0
+    best = -1
+    for leads in gb.leads_by_position():
+        if any(not any(m) for m in leads):
+            continue
+        supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+        for size in range(nvars, best, -1):
+            if any(all(not s <= frozenset(combo) for s in supports)
+                   for combo in combinations(range(nvars), size)):
+                best = size
+                break
+    return best
 
 
 def is_power_of(q: int, p: int) -> bool:

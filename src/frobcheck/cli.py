@@ -522,8 +522,8 @@ def _payload_tor(mf: ModelFile, name: str, n: int, i: int, method: str,
     methods = ["functor", "pushforward"] if method == "both" else [method]
     for m in methods:
         lines.append(f"  {m}:")
-        lines.append(f"    zero: {_fmt(h.is_zero)}")
-        lines.append(f"    length: {_fmt(h.length(budget))}")
+        lines.append(f"    zero: {_fmt(h.is_zero(budget))}")
+        lines.append(f"    length: {_fmt(module_length(h, budget))}")
     if method == "both":
         lines.append("  cross_oracle: agree")
     return "\n".join(lines), 0
@@ -562,6 +562,8 @@ def _report_tsv(report: CriterionReport) -> List[str]:
 
 
 def _payload_check(mf: ModelFile, args, budget: Budget) -> Tuple[str, int]:
+    if args.rank is not None and args.rank < 0:
+        raise ArgumentError(f"--rank {args.rank} is negative")
     bound, per = _kappa_bound(mf, budget)
     n = args.n
     report: CriterionReport

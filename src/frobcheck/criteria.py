@@ -111,8 +111,11 @@ def _module_premises(report: CriterionReport, M: PresentedModule, n: int,
 
 def _rank(M: PresentedModule, rank_override: Optional[int],
           budget: Budget) -> Optional[int]:
-    return rank_override if rank_override is not None \
-        else rank_of_module(M, budget)
+    if rank_override is None:
+        return rank_of_module(M, budget)
+    if rank_override < 0:
+        raise ArgumentError(f"rank {rank_override} is negative")
+    return rank_override
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,8 @@ def _tor_zero_table(M: PresentedModule, i_range: Sequence[int],
     table: Dict[Tuple[int, int], bool] = {}
     for n in n_range:
         for i in i_range:
-            table[(n, i)] = tor_frobenius(M, n, i, "functor", budget).is_zero
+            h = tor_frobenius(M, n, i, "functor", budget)
+            table[(n, i)] = h.is_zero(budget)
     return table
 
 
@@ -223,7 +227,7 @@ def check_thm_kl(M: PresentedModule, n: int, kappa_bound: int,
         return _skip(report, "F^n(M) is zero; depth undefined")
     t = depth_of_module(fnm, budget)
     window = list(range(1, d - t + 1))
-    vanish = all(tor_frobenius(M, n, i, "functor", budget).is_zero
+    vanish = all(tor_frobenius(M, n, i, "functor", budget).is_zero(budget)
                  for i in window)
     finite, pd = pd_is_finite(M, budget)
     report.grid = f"window i in [1..{d - t}]"
@@ -407,7 +411,7 @@ def check_gorenstein(ring: RingModel, method: str,
         pfm = cached_pushforward(ring, n, budget).minimalized(budget)
         premise = True
         for i in range(1, d + 1):
-            zero = ext(pfm, ring_as_module(ring), i, budget).is_zero
+            zero = ext(pfm, ring_as_module(ring), i, budget).is_zero(budget)
             report.quantities[f"ext_{i}_fnR_R_zero"] = zero
             premise = premise and zero
         report.quantities["mu_fnR"] = pfm.ambient_rank
@@ -421,7 +425,8 @@ def check_gorenstein(ring: RingModel, method: str,
         omega_x = quotient_by_sequence(omega, x)
         premise = False
         for i in range(1, i_max + 1):
-            zero = tor_frobenius(omega_x, n, i, "functor", budget).is_zero
+            h = tor_frobenius(omega_x, n, i, "functor", budget)
+            zero = h.is_zero(budget)
             report.quantities[f"tor_{i}_omega_mod_x_zero"] = zero
             premise = premise or zero
 

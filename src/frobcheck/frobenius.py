@@ -21,9 +21,9 @@ from .algebra_kernel import (Polynomial, RingModel, buchberger,
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
-from .module_engine import (FreeComplex, HomologyModule, Matrix,
-                            PresentedModule, minimal_free_resolution,
-                            minimalize, tor)
+from .module_engine import (FreeComplex, Matrix, PresentedModule,
+                            minimal_free_resolution, minimalize,
+                            module_length, tor)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def cached_pushforward(ring: RingModel, n: int,
 
 
 def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
-                  budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
+                  budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """Tor_i(M, f^n R) by the chosen route.
 
     method="functor" takes homology of the Frobenius-twisted minimal
@@ -166,7 +166,7 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
         res = minimal_free_resolution(M, i + 1, budget)
         if i > res.length:
             # resolution stopped before step i, so Tor_i vanishes
-            out_f = HomologyModule(PresentedModule.free(M.ring, 0), True)
+            out_f = PresentedModule.free(M.ring, 0)
         else:
             out_f = frobenius_complex(res, n, budget).homology_at(i, budget)
     if method in ("pushforward", "both"):
@@ -176,10 +176,11 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
         return out_f
     if method == "pushforward":
         return out_p
-    if out_f.is_zero != out_p.is_zero or out_f.length(budget) != out_p.length(budget):
+    len_f, len_p = module_length(out_f, budget), module_length(out_p, budget)
+    if len_f != len_p:
         raise InternalConsistencyError(
             f"Tor_{i}(M, f^{n}R) cross-oracle mismatch: functor gives "
-            f"length {out_f.length(budget)}, pushforward {out_p.length(budget)}")
+            f"length {len_f}, pushforward {len_p}")
     return out_f
 
 

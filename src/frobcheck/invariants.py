@@ -2,11 +2,11 @@
 canonical modules, Cohen-Macaulay type.
 
 Depth is Koszul depth sensitivity on the variable generators of the maximal
-ideal; dimension of a module goes through its zeroth Fitting ideal (maximal
-minors of the relations matrix), whose vanishing locus is the support.
-Euler characteristics are alternating sums of Koszul homology lengths,
-which equal the Tor lengths against R/(x) because the Koszul complex on a
-regular sequence resolves R/(x).
+ideal. Dimension of a module is read off the leading terms of its relation
+Groebner basis, the basis that also gives its length; only rank uses minors
+of the relations matrix. Euler characteristics are alternating sums of
+Koszul homology lengths, which equal the Tor lengths against R/(x) because
+the Koszul complex on a regular sequence resolves R/(x).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
 from .module_engine import (PresentedModule, ext, koszul_complex,
-                            minimalize, min_generators)
+                            minimalize, min_generators, module_length)
 
 
 def residue_field(ring: RingModel) -> PresentedModule:
@@ -84,20 +84,13 @@ def _minors(ring: RingModel, M: PresentedModule, size: int, budget: Budget
 
 def dimension_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
                         ) -> int:
-    """Krull dimension of M via Supp M = V(I + Fitt_0(relations)).
+    """Krull dimension of M from the leading terms of its relation basis.
 
     Returns -1 for the zero module (empty support).
     """
-    Mmin = minimalize(M, budget)
-    r = Mmin.ambient_rank
-    if r == 0:
+    if M.ambient_rank == 0:
         return -1
-    if len(Mmin.columns) < r:
-        # fewer relations than generators: Fitt_0 = 0, full support
-        return M.ring.dim(budget)
-    minors = _minors(M.ring, Mmin, r, budget)
-    gens = list(M.ring.ideal_gens) + [m for m in minors if not m.is_zero()]
-    return krull_dimension(buchberger(gens, M.ring, budget))
+    return krull_dimension(M.relations_groebner(budget))
 
 
 def depth_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -113,7 +106,7 @@ def depth_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET) -> int:
                        minimalize(M, budget))
     depth = 0
     for i in range(v, -1, -1):
-        if not K.homology_at(i, budget).is_zero:
+        if not K.homology_at(i, budget).is_zero(budget):
             depth = v - i
             break
     M._cache["depth"] = depth
@@ -145,7 +138,8 @@ def is_regular_sequence(x: Sequence[Polynomial], M: PresentedModule,
     if not x:
         return True
     K = koszul_complex(list(x), minimalize(M, budget))
-    return all(K.homology_at(i, budget).is_zero for i in range(1, len(x) + 1))
+    return all(K.homology_at(i, budget).is_zero(budget)
+               for i in range(1, len(x) + 1))
 
 
 def is_sop(x: Sequence[Polynomial], ring: RingModel,
@@ -198,7 +192,7 @@ def euler_characteristic(M: PresentedModule, x: Sequence[Polynomial],
     K = koszul_complex(list(x), minimalize(M, budget))
     lengths = []
     for j in range(len(x) + 1):
-        lengths.append(K.homology_at(j, budget).length(budget))
+        lengths.append(module_length(K.homology_at(j, budget), budget))
     if lengths[0] is INFINITE:
         raise PreconditionError("M/xM has infinite length")
     if any(l is INFINITE for l in lengths):
@@ -255,10 +249,8 @@ def canonical_module(ring: RingModel, budget: Budget = DEFAULT_BUDGET
         S, 1, [{(0, m): a for m, a in g.terms.items()}
                for g in ring.ideal_gens])
     h = ext(r_over_s, PresentedModule.free(S, 1), c, budget)
-    pres = h.presentation
     omega = minimalize(
-        PresentedModule(ring, pres.ambient_rank, pres.columns, budget),
-        budget)
+        PresentedModule(ring, h.ambient_rank, h.columns, budget), budget)
     ring._cache["canonical"] = omega
     return omega
 
@@ -274,7 +266,7 @@ def cm_type_and_gorenstein(ring: RingModel, budget: Budget = DEFAULT_BUDGET
         raise PreconditionError("type requires a CM ring")
     d = ring.dim(budget)
     h = ext(residue_field(ring), ring_as_module(ring), d, budget)
-    t = h.length(budget)
+    t = module_length(h, budget)
     if t is INFINITE or t < 1:
         raise InternalConsistencyError(
             f"CM type came out as {t}; expected a positive integer")

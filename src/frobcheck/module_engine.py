@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import FlatVec, Mono, reduce_full, vec_axpy
+from ._engine import FlatVec, reduce_full, vec_axpy
 from .algebra_kernel import (GroebnerBasis, INFINITE, Polynomial, RingModel,
                              standard_monomials)
 from .budget import DEFAULT_BUDGET, Budget
@@ -415,14 +415,10 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
         return 0
     cached = M._cache.get("length")
     if cached is None:
-        gb = M.relations_groebner(budget)
         nvars = len(M.ring.variables)
-        per_pos: Dict[int, List[Mono]] = {j: [] for j in range(M.ambient_rank)}
-        for pos, m in gb.index.leads:
-            per_pos[pos].append(m)
         total = 0
-        for j in range(M.ambient_rank):
-            count, _ = standard_monomials(per_pos[j], nvars)
+        for leads in M.relations_groebner(budget).leads_by_position():
+            count, _ = standard_monomials(leads, nvars)
             if count is INFINITE:
                 total = INFINITE
                 break
@@ -477,7 +473,7 @@ class FreeComplex:
         """F (x) N, an unverified copy carrying N as its coefficients."""
         if self.coefficients is not None:
             raise ArgumentError("complex already has coefficients")
-        if not self.ring.compatible(N.ring):
+        if not self.ring.same_quotient(N.ring, DEFAULT_BUDGET):
             raise ArgumentError("coefficients live over a different ring")
         out = FreeComplex(self.ring, self.ranks, self.differentials,
                           verify=False)
@@ -503,11 +499,12 @@ class FreeComplex:
         return self.ranks
 
     def homology_at(self, i: int, budget: Budget = DEFAULT_BUDGET
-                    ) -> "HomologyModule":
+                    ) -> PresentedModule:
         """H_i(F (x) N) = ker(d_i (x) id) / im(d_{i+1} (x) id).
 
-        Builds only the terms it reads: N^rank(i), N^rank(i-1) and the two
-        maps. A zero neighbouring step contributes no map.
+        Builds only the terms it reads: N^rank(i), N^rank(i-1) (each built
+        once per N) and the two maps. A zero neighbouring step contributes
+        no map.
         """
         if not (0 <= i <= max(self.length, 0)):
             raise ArgumentError(f"homology index {i} out of range")
@@ -528,30 +525,11 @@ class FreeComplex:
         return f"FreeComplex(ranks={self.ranks})"
 
 
-class HomologyModule:
-    """H_i = ker d_i / im d_{i+1}, carried as a presentation plus flags."""
-
-    __slots__ = ("presentation", "is_zero")
-
-    def __init__(self, presentation: PresentedModule, is_zero: bool):
-        self.presentation = presentation
-        self.is_zero = is_zero
-
-    def length(self, budget: Budget = DEFAULT_BUDGET):
-        if self.is_zero:
-            return 0
-        return module_length(self.presentation, budget)
-
-    def __repr__(self) -> str:
-        return f"HomologyModule(zero={self.is_zero}, " \
-               f"rank={self.presentation.ambient_rank})"
-
-
 def present_homology(ring: RingModel, mid: PresentedModule,
                      out_map: Optional[Matrix],
                      out_target: Optional[PresentedModule],
                      in_map: Optional[Matrix],
-                     budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
+                     budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """Present ker(out_map)/im(in_map) at the presented module ``mid``.
 
     The kernel is computed as a preimage: v is a cycle when out_map(v)
@@ -561,29 +539,16 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     the cycles, obtained from a single projected syzygy computation.
     """
     rm = mid.ambient_rank
-    if rm == 0:
-        return HomologyModule(PresentedModule.free(ring, 0), True)
-    if out_map is None:
+    if out_map is None or rm == 0:
         kcols: Matrix = [{(j, ring.ctx.zero_mono): 1} for j in range(rm)]
     else:
-        rest = list(out_target.columns)
-        kcols = _kernel_columns(ring, out_map, rest,
+        kcols = _kernel_columns(ring, out_map, list(out_target.columns),
                                 out_target.ambient_rank, budget)
-    ucols: Matrix = []
-    if in_map is not None:
-        ucols.extend(in_map)
-    ucols.extend(mid.columns)
     if not kcols:
-        return HomologyModule(PresentedModule.free(ring, 0), True)
+        return PresentedModule.free(ring, 0)
+    ucols: Matrix = list(in_map or []) + list(mid.columns)
     rels = _kernel_columns(ring, kcols, ucols, rm, budget)
-    pres = PresentedModule(ring, len(kcols), rels, budget)
-    return HomologyModule(pres, pres.is_zero(budget))
-
-
-def homology_at(C: FreeComplex, i: int, budget: Budget = DEFAULT_BUDGET
-                ) -> HomologyModule:
-    """Homology of a complex (with its coefficients) at homological degree i."""
-    return C.homology_at(i, budget)
+    return PresentedModule(ring, len(kcols), rels, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +599,18 @@ def minimal_free_resolution(M: PresentedModule, length: int,
 # Koszul complexes, Tor, Ext
 
 def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
-    """N^k with generator (free index b, N index j) at position b*rN + j."""
-    rn = N.ambient_rank
-    cols: Matrix = []
-    for b in range(k):
-        for col in N.columns:
-            cols.append({(b * rn + i, m): c for (i, m), c in col.items()})
-    return PresentedModule(N.ring, k * rn, cols)
+    """N^k with generator (free index b, N index j) at position b*rN + j,
+    cached on N."""
+    key = ("tensor", k)
+    Nk = N._cache.get(key)
+    if Nk is None:
+        rn = N.ambient_rank
+        cols: Matrix = []
+        for b in range(k):
+            for col in N.columns:
+                cols.append({(b * rn + i, m): c for (i, m), c in col.items()})
+        Nk = N._cache[key] = PresentedModule(N.ring, k * rn, cols)
+    return Nk
 
 
 def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
@@ -676,23 +646,23 @@ def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule
 
 
 def tor(M: PresentedModule, N: PresentedModule, i: int,
-        budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
+        budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """Tor_i over R: H_i of (minimal resolution of M) (x) N.
 
     Zero when the resolution stops before step i (pd M < i).
     """
     if i < 0:
         raise ArgumentError("Tor index must be nonnegative")
-    if not M.ring.compatible(N.ring):
+    if not M.ring.same_quotient(N.ring, budget):
         raise ArgumentError("Tor arguments live over different rings")
     res = minimal_free_resolution(M, i + 1, budget)
     if i > res.length:
-        return HomologyModule(PresentedModule.free(M.ring, 0), True)
+        return PresentedModule.free(M.ring, 0)
     return res.tensor(N).homology_at(i, budget)
 
 
 def ext(M: PresentedModule, N: PresentedModule, i: int,
-        budget: Budget = DEFAULT_BUDGET) -> HomologyModule:
+        budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """Ext^i over R: cohomology of Hom(minimal resolution G of M, N).
 
     Hom(G_j, N) is G_j* (x) N, so Ext^i is H_1 of the three-step dual
@@ -701,7 +671,7 @@ def ext(M: PresentedModule, N: PresentedModule, i: int,
     """
     if i < 0:
         raise ArgumentError("Ext index must be nonnegative")
-    if not M.ring.compatible(N.ring):
+    if not M.ring.same_quotient(N.ring, budget):
         raise ArgumentError("Ext arguments live over different rings")
     res = minimal_free_resolution(M, i + 1, budget)
     dual = FreeComplex(

@@ -1,4 +1,5 @@
 import os
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,13 @@ def load_model(name):
 
 def model_path(name):
     return os.path.join(MODELS_DIR, name)
+
+
+def monomials_of_degree(ring, d):
+    """Exponent tuples of weighted degree d."""
+    w = ring.weights
+    return [m for m in product(*(range(d // wi + 1) for wi in w))
+            if sum(e * wi for e, wi in zip(m, w)) == d]
 
 
 # session scope so ring-level caches (ideal bases, resolutions, pushforwards)

@@ -151,6 +151,23 @@ def test_run_skipped_maps_to_exit_two(capsys):
     assert "verdict: SKIPPED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("criterion", [["main1", "-m", "Ex"],
+                                       ["codim1", "-m", "Ex", "-s", "s"]])
+def test_run_negative_rank_exit_two(criterion, capsys):
+    code = run(["check", criterion[0], model_path("e.json"), *criterion[1:],
+                "--rank", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rank_M" not in captured.out
+    assert "--rank -3 is negative" in captured.err
+
+
+def test_negative_rank_override_rejected(model_e):
+    from frobcheck import ArgumentError, check_thm_main1
+    with pytest.raises(ArgumentError, match="negative"):
+        check_thm_main1(model_e.module("Ex"), 1, 1, rank_override=-1)
+
+
 def test_run_budget_exit_three(capsys, monkeypatch):
     monkeypatch.setenv("FROBCHECK_MAX_PUSHFORWARD_GENS", "2")
     code = run(["tor", model_path("a.json"), "-m", "k", "-n", "1", "-i", "1",

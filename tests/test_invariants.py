@@ -2,19 +2,23 @@
 canonical module, type."""
 
 import warnings
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcheck import (PresentedModule, PreconditionError, RingModel,
+from frobcheck import (DEFAULT_BUDGET, Polynomial, PresentedModule,
+                       PreconditionError, RingModel, buchberger,
                        canonical_module, cm_type_and_gorenstein,
                        depth_of_module, depth_of_ring, dimension_of_module,
                        euler_characteristic, is_mcm, is_regular_sequence,
-                       is_sop, min_generators, minimalize, module_invariants,
-                       module_length, rank_of_module, residue_field,
-                       ring_as_module)
+                       is_sop, krull_dimension, min_generators, minimalize,
+                       module_groebner, module_invariants, module_length,
+                       rank_of_module, residue_field, ring_as_module, tor)
 from frobcheck.cli import parse_polynomial
 from frobcheck.criteria import pd_is_finite
-from frobcheck.invariants import quotient_by_sequence
+from frobcheck.invariants import _minors, quotient_by_sequence
+from conftest import load_model, monomials_of_degree
 
 
 def P(ring, s):
@@ -35,6 +39,92 @@ def test_dimension_examples(model_b):
     assert dimension_of_module(PresentedModule.from_rows(B, [[P(B, "x")]])) == 1
     zero = PresentedModule.from_rows(B, [[B.one()]])
     assert dimension_of_module(zero) == -1
+
+
+def _ref_dimension(M):
+    """dim M by the zeroth Fitting ideal: Supp M = V(I + Fitt_0(M))."""
+    Mmin = minimalize(M)
+    r = Mmin.ambient_rank
+    if r == 0:
+        return -1
+    if Mmin.num_relations < r:
+        return M.ring.dim()
+    minors = _minors(M.ring, Mmin, r, DEFAULT_BUDGET)
+    gens = list(M.ring.ideal_gens) + [m for m in minors if not m.is_zero()]
+    return krull_dimension(buchberger(gens, M.ring))
+
+
+def test_dimension_matches_fitting_route_on_the_corpus(corpus):
+    checked = 0
+    for key, mf in sorted(corpus.items()):
+        k = mf.module("k")
+        for name, M in sorted(mf.modules.items()):
+            mods = [M] + [tor(M, k, i) for i in range(3)]
+            for X in mods:
+                assert dimension_of_module(X) == _ref_dimension(X), (key, name)
+                checked += 1
+    assert checked >= 80
+
+
+def test_dimension_of_finite_length_power_past_the_minors_budget():
+    # (S/m^3)^5 over F_2[x,y,z]: the Fitting route needs C(50, 5) minors
+    S = RingModel(2, ["x", "y", "z"])
+    cubes = [tuple(c.count(i) for i in range(3))
+             for c in combinations_with_replacement(range(3), 3)]
+    cols = [{(j, m): 1} for j in range(5) for m in cubes]
+    M = PresentedModule(S, 5, cols)
+    assert dimension_of_module(M, DEFAULT_BUDGET) == 0
+    assert module_length(M, DEFAULT_BUDGET) == 50
+
+
+def test_krull_dimension_of_a_module_basis_is_the_largest_position():
+    S = RingModel(2, ["x", "y", "z"])
+
+    def direct_sum(*ideals):
+        """Basis of the relations of S/J_0 (+) S/J_1 (+) ..."""
+        gens = [{(j, tuple(int(c == v) for c in "xyz")): 1}
+                for j, ideal in enumerate(ideals) for v in ideal]
+        return module_groebner(gens, len(ideals), S)
+
+    # S/(x), S/(y, z), S/(x, y), S and S/(1) have dimensions 2, 1, 1, 3, -1
+    assert krull_dimension(direct_sum("x", "yz", "")) == 3
+    assert krull_dimension(direct_sum("x", "yz")) == 2
+    assert krull_dimension(direct_sum("yz", "xy")) == 1
+    units = [{(j, S.ctx.zero_mono): 1} for j in range(2)]
+    assert krull_dimension(module_groebner(units, 2, S)) == -1
+
+
+HYPOTHESIS_RINGS = {key: load_model(f"{key.lower()}.json").ring
+                    for key in "ABDE"}
+
+
+@st.composite
+def graded_module(draw, ring):
+    """Up to 3 x 4 relations; entry (i, j) is zero or quasi-homogeneous of
+    weighted degree col_deg[j] - row_shift[i] >= 0 (units included)."""
+    row_shifts = [draw(st.integers(0, 2))
+                  for _ in range(draw(st.integers(1, 3)))]
+    col_degs = [draw(st.integers(1, 5))
+                for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for shift in row_shifts:
+        row = []
+        for deg in col_degs:
+            terms = {}
+            if deg >= shift and draw(st.integers(0, 3)) < 3:
+                for m in monomials_of_degree(ring, deg - shift):
+                    terms[m] = draw(st.integers(1, ring.p - 1))
+            row.append(Polynomial.from_terms(ring, terms))
+        rows.append(row)
+    return PresentedModule.from_rows(ring, rows)
+
+
+@pytest.mark.parametrize("key", sorted(HYPOTHESIS_RINGS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dimension_matches_fitting_route_on_graded_modules(key, data):
+    M = data.draw(graded_module(HYPOTHESIS_RINGS[key]))
+    assert dimension_of_module(M) == _ref_dimension(M)
 
 
 def test_depth_examples(model_a, model_b):
