@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from operator import add, le, mul, sub
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .budget import Budget
 
@@ -183,8 +183,9 @@ def _is_rank1(gens: List[FlatVec]) -> bool:
 
 
 def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
-                    budget: Budget) -> GBData:
-    """Reduced Groebner basis of the submodule generated by ``gens``.
+                    budget: Budget, seed: Sequence[FlatVec] = ()) -> GBData:
+    """Reduced Groebner basis of the submodule generated by ``gens`` and
+    ``seed``.
 
     Pair management follows Gebauer-Moeller: the chain filter on old pairs,
     the M and F rules on new pairs, and the product criterion only in the
@@ -192,12 +193,20 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
     leads at one position, so new pairs are drawn from ``idx.by_pos`` and
     live pairs are kept per position: an insert touches only the leads and
     pairs at its own position, and so does the final minimalization.
+
+    ``seed`` is a block already known to be a Groebner basis (the qring
+    strategy of Greuel-Pfister, ch. 2): its vectors must be monic and form
+    a reduced Groebner basis of their span. They are trusted, not checked.
+    They enter the index before the generators, no S-pair is ever formed
+    between two of them (each reduces to zero), and pairs between a seed
+    vector and any other element form as usual. The output equals that of
+    ``gens + seed`` unseeded, since the reduced basis is unique.
     """
     p = ctx.p
     idx = GIndex(ctx)
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
-    rank1 = _is_rank1(gens)
+    rank1 = _is_rank1(gens) and _is_rank1(seed)
     spairs = 0
 
     def gm_update(t: int) -> None:
@@ -234,6 +243,9 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
         budget.check_basis(len(idx.elems))
         gm_update(len(idx.elems) - 1)
 
+    for vec in seed:
+        idx.add(vec, lead_term(vec, ctx))
+    budget.check_basis(len(idx.elems))
     for g in gens:
         if g:
             add_elem(dict(g))
@@ -287,17 +299,21 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
 
 
 def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
-                  ctx: EngineContext, budget: Budget) -> List[FlatVec]:
+                  ctx: EngineContext, budget: Budget,
+                  seed: Sequence[FlatVec] = ()) -> List[FlatVec]:
     """Vectors a in S^nlead with sum a_j gens[j] in the span of the rest.
 
-    ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block.
-    Each lead generator g_j is extended to g_j + e_{rank+j} and one reduced
-    Groebner basis is computed. Under position-over-term the basis elements
-    whose lead sits at a position >= ``rank`` have no term below ``rank``
-    and form a Groebner basis of the kernel (elimination of module
-    components; Greuel-Pfister, A Singular Introduction to Commutative
-    Algebra, ch. 2). They are returned shifted down by ``rank``, keyed by
-    ``(lead_index, mono)``, in basis order.
+    ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block,
+    and "the rest" is the other generators together with ``seed``, a
+    reduced Groebner basis inside S^rank passed on to ``buchberger_flat``
+    (no S-pair forms inside it). Each lead generator g_j is extended to
+    g_j + e_{rank+j} and one reduced Groebner basis is computed. Under
+    position-over-term the basis elements whose lead sits at a position >=
+    ``rank`` have no term below ``rank`` and form the reduced Groebner basis
+    of the kernel (elimination of module components; Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, ch. 2). They are returned
+    shifted down by ``rank``, keyed by ``(lead_index, mono)``, in basis
+    order.
 
     ``gens`` must be graded (some degree shift per position makes each
     generator homogeneous), so that the extended generators and the whole
@@ -307,6 +323,6 @@ def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
     """
     ext = [{**g, (rank + j, ctx.zero_mono): 1}
            for j, g in enumerate(gens[:nlead])]
-    G = buchberger_flat(ext + gens[nlead:], ctx, budget).index
+    G = buchberger_flat(ext + gens[nlead:], ctx, budget, seed).index
     return [{(pos - rank, m): c for (pos, m), c in g.items()}
             for g, lead in zip(G.elems, G.leads) if lead[0] >= rank]

@@ -213,10 +213,13 @@ def rank_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
 
     Only computed when the model is flagged a domain (the fraction-field
     rank); returns None (NO_RANK) otherwise, and callers skip or supply the
-    rank themselves.
+    rank themselves. A module of dimension below dim R is not supported at
+    (0), so its rank is 0 and no minor is enumerated.
     """
     if not M.ring.is_domain:
         return None
+    if dimension_of_module(M, budget) < M.ring.dim(budget):
+        return 0
     Mmin = minimalize(M, budget)
     r, t = Mmin.ambient_rank, len(Mmin.columns)
     ring = M.ring

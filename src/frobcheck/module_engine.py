@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import FlatVec, reduce_full, vec_axpy
+from ._engine import FlatVec, GIndex, lead_term, reduce_full, vec_axpy
 from .algebra_kernel import (GroebnerBasis, INFINITE, Polynomial, RingModel,
                              standard_monomials)
 from .budget import DEFAULT_BUDGET, Budget
@@ -110,6 +110,8 @@ def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
 
 
 def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> List[FlatVec]:
+    """GB(I) times each unit vector of S^rank: the reduced Groebner basis of
+    I S^rank, so it enters ``buchberger_flat`` as a seed."""
     pads: List[FlatVec] = []
     if not ring.ideal_gens:
         return pads
@@ -257,35 +259,48 @@ def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 
     ``gens`` are vectors of ring elements (length ambient_rank) or flat
     columns. The computation lifts to S by appending the ideal basis times
-    each unit vector, so normal forms against the result are canonical
+    each unit vector (a seed of the Buchberger call, since it is already a
+    reduced basis), so normal forms against the result are canonical
     representatives of R-module cosets.
     """
     cols, ring = _as_columns(gens, ambient_rank, ring)
-    flats = cols + _ideal_padding(ring, ambient_rank, budget)
-    gbd = _engine.buchberger_flat(flats, ring.ctx, budget)
+    gbd = _engine.buchberger_flat(cols, ring.ctx, budget,
+                                  _ideal_padding(ring, ambient_rank, budget))
     return GroebnerBasis(ring, ambient_rank, gbd.index)
 
 
 def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
-                    rank: int, budget: Budget) -> Matrix:
-    """Vectors v with (lead_cols)v in the R-span of rest_cols.
+                    target: "PresentedModule", budget: Budget
+                    ) -> Tuple[Matrix, GroebnerBasis]:
+    """Vectors v with (lead_cols)v in the R-span of rest_cols and the
+    relations of ``target``, a module presented in R^rank.
 
-    The kernel over S of [lead | rest | ideal padding] eliminated onto the
-    lead block (``syzygies_flat``), normal-formed; the vectors that vanish
-    in R are multiples of the ideal and are dropped. The result is the
-    reduced Groebner basis of the kernel read in R, which generates it but
-    need not be minimal. [lead | rest] must be graded.
+    The kernel K over S of [lead | rest | target relations | ideal padding]
+    eliminated onto the lead block (``syzygies_flat``). The relation basis
+    of ``target`` (for a free target, the padding itself) already holds
+    the relations and the padding as a reduced Groebner basis, so it is the
+    seed of that call and no S-pair forms inside it.
+
+    Returns the reduced Groebner basis of K normal-formed, with the vectors
+    that vanish in R dropped (it generates the kernel read in R but need
+    not be minimal), and that basis itself: K contains I S^nlead, so it is
+    the relation basis of R^nlead modulo the returned columns.
+    [lead | rest | target relations] must be graded.
     """
-    _require_graded(ring, list(lead_cols) + list(rest_cols), rank)
-    flats = list(lead_cols) + list(rest_cols) + _ideal_padding(ring, rank,
-                                                               budget)
+    rank = target.ambient_rank
+    _require_graded(ring, list(lead_cols) + list(rest_cols)
+                    + list(target.columns), rank)
+    seed = target.relations_groebner(budget).index.elems \
+        if target.columns else _ideal_padding(ring, rank, budget)
+    kernel = GIndex(ring.ctx)
     out: Matrix = []
-    for z in _engine.syzygies_flat(flats, rank, len(lead_cols), ring.ctx,
-                                   budget):
+    for z in _engine.syzygies_flat(list(lead_cols) + list(rest_cols), rank,
+                                   len(lead_cols), ring.ctx, budget, seed):
+        kernel.add(z, lead_term(z, ring.ctx))
         col = _nf(ring, z, budget)
         if col:
             out.append(col)
-    return out
+    return out, GroebnerBasis(ring, len(lead_cols), kernel)
 
 
 class SyzygyPresentation(PresentedModule):
@@ -315,9 +330,12 @@ def syzygies(gens, ambient_rank: int, ring: Optional[RingModel] = None,
     generators themselves stay available as ``embedded_generators``.
     """
     cols, ring = _as_columns(gens, ambient_rank, ring)
-    embedded = _kernel_columns(ring, cols, [], ambient_rank, budget)
-    rels = _kernel_columns(ring, embedded, [], len(cols), budget) \
-        if embedded else []
+    embedded, _ = _kernel_columns(ring, cols, [],
+                                  PresentedModule.free(ring, ambient_rank),
+                                  budget)
+    rels, _ = _kernel_columns(ring, embedded, [],
+                              PresentedModule.free(ring, len(cols)),
+                              budget) if embedded else ([], None)
     return SyzygyPresentation(ring, rels, embedded, len(cols), budget)
 
 
@@ -515,10 +533,11 @@ class FreeComplex:
         out_map = out_target = in_map = None
         if i >= 1 and self.rank(i - 1):
             out_map = kron_identity(self.differential(i), rn)
-            out_target = _tensor_presented(N, self.rank(i - 1))
+            out_target = _tensor_presented(N, self.rank(i - 1), budget)
         if self.rank(i + 1):
             in_map = kron_identity(self.differential(i + 1), rn)
-        return present_homology(self.ring, _tensor_presented(N, self.rank(i)),
+        return present_homology(self.ring,
+                                _tensor_presented(N, self.rank(i), budget),
                                 out_map, out_target, in_map, budget)
 
     def __repr__(self) -> str:
@@ -537,18 +556,22 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     the ambient basis of the homology; relations are every expression of a
     boundary or mid-relation in terms of the cycles plus the syzygies among
     the cycles, obtained from a single projected syzygy computation.
+
+    Both kernel calls take the relation basis of their target (``mid`` or
+    ``out_target``) as a ready seed, and the second call's kernel basis is
+    the homology's own relation basis, so it is cached on the result.
     """
     rm = mid.ambient_rank
     if out_map is None or rm == 0:
         kcols: Matrix = [{(j, ring.ctx.zero_mono): 1} for j in range(rm)]
     else:
-        kcols = _kernel_columns(ring, out_map, list(out_target.columns),
-                                out_target.ambient_rank, budget)
+        kcols, _ = _kernel_columns(ring, out_map, [], out_target, budget)
     if not kcols:
         return PresentedModule.free(ring, 0)
-    ucols: Matrix = list(in_map or []) + list(mid.columns)
-    rels = _kernel_columns(ring, kcols, ucols, rm, budget)
-    return PresentedModule(ring, len(kcols), rels, budget)
+    rels, gb = _kernel_columns(ring, kcols, list(in_map or []), mid, budget)
+    H = PresentedModule(ring, len(kcols), rels, budget)
+    H._cache["gb"] = gb
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +603,9 @@ def minimal_free_resolution(M: PresentedModule, length: int,
         ranks = list(res.ranks)
         diffs: List[Matrix] = [list(d) for d in res.differentials]
         while len(diffs) < length and cur:
-            syz = _kernel_columns(M.ring, cur, [], ranks[-1], budget)
+            syz, _ = _kernel_columns(
+                M.ring, cur, [], PresentedModule.free(M.ring, ranks[-1]),
+                budget)
             # unit entries in the kernel mean cur's columns were a redundant
             # generating set; cancelling them drops matching columns of cur
             syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)
@@ -598,9 +623,19 @@ def minimal_free_resolution(M: PresentedModule, length: int,
 # ---------------------------------------------------------------------------
 # Koszul complexes, Tor, Ext
 
-def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
+def _tensor_presented(N: PresentedModule, k: int,
+                      budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """N^k with generator (free index b, N index j) at position b*rN + j,
-    cached on N."""
+    cached on N.
+
+    Its relation basis is k shifted copies of N's, cached with it: a copy's
+    vectors stay inside their block of positions, so no S-pair or reduction
+    ever mixes two blocks and the copies together form the reduced basis.
+    They are listed by block, last block first, which is the order by lead
+    that ``buchberger_flat`` returns. Only N's own basis costs a Buchberger
+    call. A free N^k needs no basis: ``_kernel_columns`` seeds with the
+    padding.
+    """
     key = ("tensor", k)
     Nk = N._cache.get(key)
     if Nk is None:
@@ -610,6 +645,15 @@ def _tensor_presented(N: PresentedModule, k: int) -> PresentedModule:
             for col in N.columns:
                 cols.append({(b * rn + i, m): c for (i, m), c in col.items()})
         Nk = N._cache[key] = PresentedModule(N.ring, k * rn, cols)
+        if k and N.columns:
+            gb = N.relations_groebner(budget).index
+            copies = GIndex(N.ring.ctx)
+            for b in reversed(range(k)):
+                for vec, (pos, m) in zip(gb.elems, gb.leads):
+                    copies.add({(b * rn + i, mi): c
+                                for (i, mi), c in vec.items()},
+                               (b * rn + pos, m))
+            Nk._cache["gb"] = GroebnerBasis(N.ring, k * rn, copies)
     return Nk
 
 

@@ -1,7 +1,7 @@
 """Flat engine oracles: reduced module Groebner bases checked by an
 independent term order and division, elimination kernels checked against a
-tracked Schreyer reference, cancellation polls, and the benchmark tracer's
-bindings."""
+tracked Schreyer reference, seeded calls checked against unseeded ones,
+cancellation polls, and the benchmark tracer's bindings."""
 
 import heapq
 import os
@@ -315,6 +315,34 @@ def test_module_groebner_basis_and_syzygies(weights, data):
     for z in ref_syz:
         proj = {k: c for k, c in z.items() if k[0] < nlead}
         assert _reduces_to_zero(proj, kernel, weights)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeded_basis_and_kernel_equal_unseeded(weights, data):
+    # a seed is a reduced basis whose inner S-pairs are never formed; the
+    # pairs between it and new generators still are, so the result is the
+    # reduced basis of everything, element for element
+    ctx = EngineContext(P, weights)
+    h = data.draw(module_gens(len(weights)))
+    g = data.draw(module_gens(len(weights)))
+    B = buchberger_flat(h, ctx, Budget()).index.elems
+    seeded = buchberger_flat(g, ctx, Budget(), seed=B).index
+    plain = buchberger_flat(g + B, ctx, Budget()).index
+    assert seeded.leads == plain.leads and seeded.elems == plain.elems
+    again = buchberger_flat(g + h, ctx, Budget()).index
+    assert again.leads == plain.leads and again.elems == plain.elems
+    alone = buchberger_flat([], ctx, Budget(), seed=B).index
+    assert alone.elems == B
+
+    # a kernel whose rest is partly given as a seed basis
+    gens = data.draw(graded_module_gens(weights))
+    nlead = data.draw(st.integers(1, len(gens)))
+    cut = data.draw(st.integers(nlead, len(gens)))
+    rest = buchberger_flat(gens[cut:], ctx, Budget()).index.elems
+    seeded = syzygies_flat(gens[:cut], 5, nlead, ctx, Budget(), seed=rest)
+    assert seeded == syzygies_flat(gens, 5, nlead, ctx, Budget())
 
 
 # ---------------------------------------------------------------------------

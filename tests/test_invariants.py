@@ -215,6 +215,17 @@ def test_rank_examples(model_b):
     assert rank_of_module(residue_field(B)) == 0
 
 
+def test_rank_of_finite_length_power_past_the_minors_budget():
+    # (S/m^3)^5 over the domain F_2[x,y,z] has dimension 0 < 3, so its rank
+    # is 0; the minors route would need C(50, 5) minors
+    S = RingModel(2, ["x", "y", "z"], is_domain=True)
+    cubes = [tuple(c.count(i) for i in range(3))
+             for c in combinations_with_replacement(range(3), 3)]
+    cols = [{(j, m): 1} for j in range(5) for m in cubes]
+    M = PresentedModule(S, 5, cols)
+    assert rank_of_module(M, DEFAULT_BUDGET) == 0
+
+
 def test_rank_none_for_non_domain(model_e):
     assert rank_of_module(residue_field(model_e.ring)) is None
 

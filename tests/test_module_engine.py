@@ -480,6 +480,39 @@ def test_homology_matches_the_eager_reference_wiring(corpus):
                                _ref_koszul_homology(xs, N, i))
 
 
+def _seeded_basis_is_fresh(M):
+    # a relation basis cached without a Buchberger call is the one a fresh
+    # computation from the columns gives, and so are length and vanishing
+    fresh = PresentedModule(M.ring, M.ambient_rank, M.columns)
+    gb = M.relations_groebner()
+    ref = module_groebner(list(M.columns), M.ambient_rank, M.ring)
+    assert gb.leads == ref.leads and gb.index.elems == ref.index.elems
+    assert module_length(M) == module_length(fresh)
+    assert M.is_zero() == fresh.is_zero()
+
+
+def test_seeded_relation_bases_equal_fresh_ones(corpus):
+    # N^k gets shifted copies of N's basis; a homology module gets the
+    # basis of the kernel call that made it
+    non_free = {"A": "Rx", "B": "MF", "D": "MF", "E": "Ex"}
+    for key, mf in sorted(corpus.items()):
+        ring = mf.ring
+        X = mf.module(non_free[key]) if key in non_free else \
+            PresentedModule.from_rows(ring, [[ring.variable(0)]])
+        mods = [mf.module("k"), X]
+        xs = [ring.variable(j) for j in range(len(ring.variables))]
+        for N in mods:
+            for k in (1, 2, 3):
+                _seeded_basis_is_fresh(module_engine._tensor_presented(N, k))
+            K = koszul_complex(xs, N)
+            for i in range(3):
+                _seeded_basis_is_fresh(K.homology_at(i))
+        for M, N in product(mods, mods):
+            for i in range(3):
+                _seeded_basis_is_fresh(tor(M, N, i))
+                _seeded_basis_is_fresh(ext(M, N, i))
+
+
 # ---------------------------------------------------------------------------
 # minimal generators
 
