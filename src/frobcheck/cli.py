@@ -44,9 +44,8 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
 from .invariants import cm_type_and_gorenstein, depth_of_ring
-from .module_engine import (PresentedModule, _flat, _require_graded,
-                            minimal_free_resolution, minimalize,
-                            module_length)
+from .module_engine import (PresentedModule, minimal_free_resolution,
+                            minimalize, module_length)
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -192,17 +191,6 @@ def _require_loc(poly: Polynomial, ring: RingModel, path: str) -> None:
             "entries must lie in the maximal ideal")
 
 
-def _check_graded_matrix(rows: List[List[Polynomial]], ring: RingModel,
-                         path: str) -> None:
-    """Verify a consistent shift assignment: deg(e_ij) = col_j - row_i."""
-    cols = [_flat(ring, [row[j] for row in rows])
-            for j in range(len(rows[0]) if rows else 0)]
-    try:
-        _require_graded(ring, cols, len(rows))
-    except ArgumentError as exc:
-        raise ModelError(f"{path}: {exc}") from None
-
-
 def parse_model(data) -> ModelFile:
     """Parse and validate a model file (bytes, str, or a decoded dict)."""
     if isinstance(data, bytes):
@@ -304,10 +292,11 @@ def parse_model(data) -> ModelFile:
                 _require_loc(e, ring, epath)
                 out_row.append(e)
             rows.append(out_row)
-        if rows:
-            _check_graded_matrix(rows, ring, path)
-        modules[name] = PresentedModule.from_rows(ring, rows,
-                                                  ambient_rank=rank)
+        try:
+            modules[name] = PresentedModule.from_rows(ring, rows,
+                                                      ambient_rank=rank)
+        except ArgumentError as exc:
+            raise ModelError(f"{path}: {exc}") from None
 
     sops: Dict[str, Tuple[Polynomial, ...]] = {}
     sops_raw = obj.get("sops", {})

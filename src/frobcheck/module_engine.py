@@ -79,7 +79,7 @@ def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
     terms (i, m) of each column. Kernels by elimination
     (``_engine.syzygies_flat``) stay homogeneous on graded matrices; on
     others their reduced bases can grow without bound, and unit entries
-    are no longer exact (``_find_unit_pivot``). Shifts are solved by a
+    are no longer exact (``_minimalize_columns``). Shifts are solved by a
     union-find over rows: ``off[i]`` is s_i minus the shift of its parent.
     """
     wdeg = ring.ctx.wdeg
@@ -115,9 +115,9 @@ def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> List[FlatVec]:
     pads: List[FlatVec] = []
     if not ring.ideal_gens:
         return pads
-    for g in ring.ideal_groebner(budget).polynomials():
+    for g in ring.ideal_groebner(budget).index.elems:
         for j in range(rank):
-            pads.append({(j, m): c for m, c in g.terms.items()})
+            pads.append({(j, m): c for (_, m), c in g.items()})
     return pads
 
 
@@ -214,16 +214,13 @@ class PresentedModule:
         return gb
 
     def is_zero(self, budget: Budget = DEFAULT_BUDGET) -> bool:
+        """M = 0 iff every position has the unit monomial among the leads
+        of the relation basis (else some e_j is its own normal form)."""
         if self.ambient_rank == 0:
             return True
-        flag = self._cache.get("is_zero")
-        if flag is None:
-            gb = self.relations_groebner(budget)
-            flag = all(
-                not gb.reduce_flat({(j, self.ring.ctx.zero_mono): 1})
-                for j in range(self.ambient_rank))
-            self._cache["is_zero"] = flag
-        return flag
+        one = self.ring.ctx.zero_mono
+        return all(one in leads for leads in
+                   self.relations_groebner(budget).leads_by_position())
 
     def __repr__(self) -> str:
         return (f"PresentedModule(rank={self.ambient_rank}, "
@@ -342,63 +339,68 @@ def syzygies(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 # ---------------------------------------------------------------------------
 # minimalization
 
-def _find_unit_pivot(ring: RingModel, cols: Matrix) -> Optional[Tuple[int, int, int]]:
-    zero = ring.ctx.zero_mono
-    for j, col in enumerate(cols):
-        units = [pos for pos, m in col if m == zero]
-        if units:
-            i = min(units)
-            entry = {m: c for (pos, m), c in col.items() if pos == i}
-            if len(entry) != 1:
-                # exact unit detection needs graded entries; either the
-                # caller fed non-quasi-homogeneous relations (locality
-                # convention violated) or an engine step lost gradedness
-                raise InternalConsistencyError(
-                    "matrix entry mixes a constant with positive-degree "
-                    f"terms ({ring.render_poly(Polynomial(ring, entry))}); "
-                    "relation entries must be quasi-homogeneous for the "
-                    "declared weights")
-            return i, j, entry[zero]
-    return None
-
-
 def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
                         budget: Budget) -> Tuple[Matrix, List[int]]:
     """Cancel unit entries; return (new columns, surviving original rows).
 
-    Cancelling the pivot at (r0, c0) substitutes generator r0 by the other
-    generators: every other column c gets col_c -= (col_c[r0]/u) * col_c0,
-    then row r0 and column c0 are removed.
+    One sweep from the left. Each column is rewritten through the rows
+    already cancelled, in the order they were cancelled, and then its
+    units are read: with a unit u at its lowest unit row r0 it is a pivot,
+    generator r0 becomes -(1/u) times the rest of the column, and row r0
+    and the column are removed. Kept columns get one more rewrite for the
+    rows cancelled after them.
+
+    A rescan after every cancellation would find the same pivots: a column
+    without a constant term never gains one, since a substitution
+    multiplies only its positive-degree terms and reduction modulo the
+    quasi-homogeneous ideal keeps degrees. A substitute holds no row
+    cancelled before its own, so each column meets the pivots in order.
     """
-    p = ring.p
-    work: Matrix = [dict(c) for c in cols]
-    alive_rows = set(range(nrows))
-    while True:
-        pivot = _find_unit_pivot(ring, work)
-        if pivot is None:
-            break
-        r0, c0, u = pivot
-        uinv = ring.ctx.inv(u)
-        rest = {k: c for k, c in work[c0].items() if k[0] != r0}
-        for j, col in enumerate(work):
-            if j == c0:
-                continue
-            top = [(m, c) for (i, m), c in col.items() if i == r0]
-            if not top:
-                continue
-            # entries of col and rest are normal forms, so only the
-            # correction needs reducing
+    p, zero = ring.p, ring.ctx.zero_mono
+    subst: Dict[int, Tuple[int, FlatVec]] = {}  # row -> (order, substitute)
+
+    def rewrite(col: FlatVec) -> None:
+        due = [i for i, _ in col if i in subst]
+        while due:
+            r0 = min(due, key=lambda i: subst[i][0])
+            # entries of col and the substitute are normal forms, so only
+            # the correction needs reducing
             delta: FlatVec = {}
-            for m, c in top:
-                del col[(r0, m)]
-                vec_axpy(delta, p - c * uinv, m, rest, p)
-            vec_axpy(col, 1, ring.ctx.zero_mono, _nf(ring, delta, budget), p)
-        del work[c0]
-        alive_rows.discard(r0)
-    kept = sorted(alive_rows)
+            for key in [key for key in col if key[0] == r0]:
+                vec_axpy(delta, col.pop(key), key[1], subst[r0][1], p)
+            vec_axpy(col, 1, zero, _nf(ring, delta, budget), p)
+            due = [i for i, _ in col if i in subst]
+
+    work: Matrix = []
+    for col in cols:
+        col = dict(col)
+        if subst:
+            rewrite(col)
+        units = [i for i, m in col if m == zero]
+        if not units:
+            work.append(col)
+            continue
+        r0 = min(units)
+        entry = {m: c for (i, m), c in col.items() if i == r0}
+        if len(entry) != 1:
+            # exact unit detection needs graded entries; either the
+            # caller fed non-quasi-homogeneous relations (locality
+            # convention violated) or an engine step lost gradedness
+            raise InternalConsistencyError(
+                "matrix entry mixes a constant with positive-degree "
+                f"terms ({ring.render_poly(Polynomial(ring, entry))}); "
+                "relation entries must be quasi-homogeneous for the "
+                "declared weights")
+        f = -ring.ctx.inv(entry[zero])
+        subst[r0] = len(subst), {k: c * f % p for k, c in col.items()
+                                 if k[0] != r0}
+    if not subst:
+        return [col for col in work if col], list(range(nrows))
+    kept = [i for i in range(nrows) if i not in subst]
     remap = {old: new for new, old in enumerate(kept)}
     out: Matrix = []
     for col in work:
+        rewrite(col)
         if col:
             out.append({(remap[i], m): c for (i, m), c in col.items()})
     return out, kept

@@ -27,6 +27,9 @@ COMMANDS = {
     "tor_e_k_n1_i2_both": "tor {e} -m k -n 1 -i 2 --method both",
     "check_free_b_MF_tsv": "check free {b} -m MF -s yz -n 1 --n-max 2 --tsv",
     "check_gorenstein_e_tor_omega": "check gorenstein {e} --method tor-omega -s s",
+    "check_gorenstein_b_ext_pushforward":
+        "check gorenstein {b} --method ext-pushforward",
+    "tor_b_k_n1_i3_both": "tor {b} -m k -n 1 -i 3 --method both",
     "scan_rigidity_d_MF": "scan rigidity {d} -m MF --n-range 1..2 --i-range 1..3",
     "info_a": "info {a}",
     "info_b": "info {b}",

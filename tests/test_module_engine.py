@@ -13,8 +13,11 @@ from frobcheck import (ArgumentError, INFINITE, Polynomial, PresentedModule,
                        module_groebner, module_length, residue_field,
                        ring_as_module, syzygies, tor)
 from frobcheck import module_engine
-from frobcheck.cli import _check_graded_matrix, parse_polynomial, run
+from frobcheck._engine import vec_axpy, vec_scale
+from frobcheck.budget import Budget
+from frobcheck.cli import parse_polynomial, run
 from frobcheck.criteria import pd_is_finite
+from frobcheck.frobenius import cached_pushforward
 from frobcheck.invariants import (depth_of_module, depth_of_ring,
                                   euler_characteristic, quotient_by_sequence)
 from frobcheck.module_engine import matmul
@@ -636,8 +639,8 @@ def _columns(rows):
 @given(data=st.data())
 def test_weighted_graded_matrices(ring, data):
     a, b = data.draw(composable_pair(ring))
-    _check_graded_matrix(a, ring, "A")
-    _check_graded_matrix(b, ring, "B")
+    module_engine._require_graded(ring, _columns(a), len(a))
+    module_engine._require_graded(ring, _columns(b), len(b))
 
     # flat matmul against entrywise Polynomial products reduced by ring.nf
     expected = []
@@ -662,3 +665,130 @@ def test_weighted_graded_matrices(ring, data):
     bad[0][0] = alien.variable(0)
     with pytest.raises(ArgumentError):
         PresentedModule.from_rows(ring, bad)
+
+
+# ---------------------------------------------------------------------------
+# the minimalization sweep
+
+F5 = RingModel(5, ["x", "y"], is_domain=True, expected_CM=True)
+
+
+def test_sweep_reads_units_after_the_rewrite():
+    # e0 - e1 cancels row 0 (e0 = e1), so e0 + e1 becomes 2*e1: its only
+    # unit is at row 1, not at the lowest unit row it started with
+    M = PresentedModule.from_rows(F5, [[P(F5, "1"), P(F5, "1")],
+                                       [P(F5, "-1"), P(F5, "1")]])
+    assert module_engine._minimalize_columns(
+        F5, list(M.columns), 2, Budget()) == ([], [])
+    assert min_generators(M) == 0 and M.is_zero()
+
+
+def test_sweep_rewrites_kept_columns_through_later_rows():
+    # x*e0 is kept before e0 - y*e1 cancels row 0 (e0 = y*e1); the rows
+    # have degree shifts (0, -1)
+    M = PresentedModule.from_rows(F5, [[P(F5, "x"), P(F5, "1")],
+                                       [F5.zero(), P(F5, "-y")]])
+    assert module_engine._minimalize_columns(
+        F5, list(M.columns), 2, Budget()) == ([{(0, (1, 1)): 1}], [1])
+    assert min_generators(M) == 1
+
+
+def _disguised(M, like, ops, scales, flip):
+    """A presentation of a module isomorphic to M.
+
+    One trivial summand (a generator and the relation setting it to zero)
+    per entry of ``like``; the new generator r + t gets the degree of
+    generator like[t]. Then the row operations ``ops`` (row i += c * row
+    j, for generators of equal degree), each column scaled by a unit from
+    ``scales`` (cycled) and, with ``flip``, the column order reversed.
+    """
+    ring, r = M.ring, M.ambient_rank
+    zero = ring.ctx.zero_mono
+    cols = [dict(col) for col in M.columns]
+    cols += [{(r + t, zero): 1} for t in range(len(like))]
+    for i, j, c in ops:
+        for col in cols:
+            vec_axpy(col, c, zero,
+                     {(i, m): a for (pos, m), a in col.items() if pos == j},
+                     ring.p)
+    cols = [vec_scale(col, scales[k % len(scales)], ring.p)
+            for k, col in enumerate(cols)]
+    return PresentedModule(ring, r + len(like), cols[::-1] if flip else cols)
+
+
+def _check_minimalization(M, D, budget):
+    """minimalize on D, a disguised presentation of M."""
+    ring = M.ring
+    Dm = minimalize(D, budget)
+    mD = quotient_by_sequence(
+        D, [ring.variable(i) for i in range(len(ring.variables))])
+    assert Dm.ambient_rank == module_length(mD, budget) == \
+        min_generators(M, budget)
+    assert all(m != ring.ctx.zero_mono for col in Dm.columns for _, m in col)
+    assert module_engine._minimalize_columns(
+        ring, list(Dm.columns), Dm.ambient_rank, budget) == \
+        (list(Dm.columns), list(range(Dm.ambient_rank)))
+    assert module_length(Dm, budget) == module_length(D, budget) == \
+        module_length(M, budget)
+    assert minimal_free_resolution(D, 2, budget).ranks == \
+        minimal_free_resolution(M, 2, budget).ranks
+
+
+def _generic_disguises(M):
+    """Two disguises that need no degrees: the trivial generator takes the
+    degree of generator 0 and is mixed with it, columns in either order."""
+    r, p = M.ambient_rank, M.ring.p
+    ops = [(r, 0, 1), (0, r, 1)] if r else []
+    return [_disguised(M, [0] if r else [], ops, [1, p - 1], flip)
+            for flip in (False, True)]
+
+
+def test_minimalization_sweep_on_corpus_modules(corpus, big_budget):
+    for mf in corpus.values():
+        for M in mf.modules.values():
+            for D in _generic_disguises(M):
+                _check_minimalization(M, D, big_budget)
+
+
+def test_minimalization_sweep_on_tor_ext_and_pushforwards(corpus,
+                                                          big_budget):
+    mods = []
+    for name, mf in corpus.items():
+        M = mf.module("MF" if name in "BD" else "k")
+        k = residue_field(mf.ring)
+        for i in (0, 1, 2):
+            mods += [tor(M, k, i, big_budget),
+                     ext(M, ring_as_module(mf.ring), i, big_budget)]
+        mods.append(cached_pushforward(mf.ring, 1, big_budget).presentation)
+    for M in mods:
+        for D in [M] + _generic_disguises(M):
+            _check_minimalization(M, D, big_budget)
+
+
+@st.composite
+def disguised_pair(draw, ring):
+    """A graded module and a disguise of it: trivial summands, row
+    operations within equal degrees, unit column scalings, a column order."""
+    r, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shifts = [draw(st.integers(0, 2)) for _ in range(r)]
+    degrees = [draw(st.integers(2, 8)) for _ in range(t)]
+    M = PresentedModule.from_rows(ring,
+                                  draw(graded_rows(ring, shifts, degrees)))
+    like = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3))
+    deg = shifts + [shifts[k] for k in like]
+    pairs = [(i, j) for i in range(len(deg)) for j in range(len(deg))
+             if i != j and deg[i] == deg[j]]
+    ops = [(i, j, draw(st.integers(1, ring.p - 1)))
+           for i, j in draw(st.lists(st.sampled_from(pairs), max_size=6))
+           ] if pairs else []
+    scales = draw(st.lists(st.integers(1, ring.p - 1), min_size=1,
+                           max_size=4))
+    return M, _disguised(M, like, ops, scales, draw(st.booleans()))
+
+
+@pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minimalization_sweep_on_disguised_presentations(ring, data):
+    M, D = data.draw(disguised_pair(ring))
+    _check_minimalization(M, D, Budget())
