@@ -4,6 +4,10 @@ Rerun determinism is covered in test_cli; these files pin the reports
 across commits, printed matrices included. Only the ``command:`` line is
 skipped, since it holds the checkout path. After a deliberate output
 change, regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+
+The two high-power functor reports pin lengths of large Artinian
+quotients (B at n = 5 reaches weighted degree 243, so it runs with the
+benchmark's degree budget).
 """
 
 import os
@@ -36,6 +40,13 @@ COMMANDS = {
     "info_c": "info {c}",
     "info_d": "info {d}",
     "info_e": "info {e}",
+    "tor_b_k_n5_i3_functor": "tor {b} -m k -n 5 -i 3 --method functor",
+    "tor_c_k_n2_i3_functor": "tor {c} -m k -n 2 -i 3 --method functor",
+}
+
+# Budget overrides, read by the CLI from the environment, per report.
+ENV = {
+    "tor_b_k_n5_i3_functor": {"FROBCHECK_MAX_DEGREE": "2000"},
 }
 
 
@@ -50,7 +61,9 @@ def _payload(text):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_report(name, capsys):
+def test_golden_report(name, capsys, monkeypatch):
+    for var, value in ENV.get(name, {}).items():
+        monkeypatch.setenv(var, value)
     code = run(_argv(COMMANDS[name]))
     out = capsys.readouterr().out
     with open(os.path.join(GOLDEN, f"{name}.txt"), encoding="utf-8") as fh:
@@ -64,8 +77,14 @@ if __name__ == "__main__":
     import io
     for name, command in sorted(COMMANDS.items()):
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = run(_argv(command))
+        saved = dict(os.environ)
+        os.environ.update(ENV.get(name, {}))
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = run(_argv(command))
+        finally:
+            os.environ.clear()
+            os.environ.update(saved)
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         shown = " ".join(_argv(command, os.path.join("tests", "models")))
