@@ -15,7 +15,7 @@ cannot change results.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import accumulate, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _engine
@@ -414,28 +414,83 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(gb.ring, {m: c for (_, m), c in out.items()})
 
 
-def standard_monomials(leads: Sequence[Mono], nvars: int):
-    """Monomials outside the monomial ideal generated by ``leads``.
+def _minimal_monomials(monos: Iterable[Mono]) -> List[Mono]:
+    """Minimal generators of the monomial ideal generated by ``monos``.
 
-    Returns (count, sorted list) when finite, (INFINITE, None) otherwise.
-    Finite iff each variable has a pure power among the leads.
+    Sorted by total degree, so a divisor is always seen before its
+    multiples and a unit, if present, comes first.
     """
-    if any(all(e == 0 for e in m) for m in leads):
-        return 0, []
-    bounds = []
-    for i in range(nvars):
-        b = None
-        for m in leads:
-            if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i):
-                b = m[i] if b is None else min(b, m[i])
-        if b is None:
-            return INFINITE, None
-        bounds.append(b)
-    basis = []
-    for e in product(*(range(b) for b in bounds)):
-        if not any(_engine.mono_divides(m, e) for m in leads):
-            basis.append(e)
-    return len(basis), basis
+    out: List[Mono] = []
+    for m in sorted(set(monos), key=sum):
+        if not any(_engine.mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _add_shifted(a: List[int], b: List[int], shift: int) -> List[int]:
+    """Coefficients of a(t) + t^shift * b(t)."""
+    out = a + [0] * max(0, shift + len(b) - len(a))
+    for j, c in enumerate(b, shift):
+        out[j] += c
+    return out
+
+
+def _k_polynomial(leads: Sequence[Mono]) -> List[int]:
+    """Coefficients of K(t) = (1 - t)^v H(t), H the Hilbert series of S/J.
+
+    J is the monomial ideal generated by ``leads`` and S has the unit
+    grading. Bigatti's pivot recursion (JPAA 119, 1997) on a monomial
+    x_i^e outside J: K(J) = K(J + x_i^e) + t^e K(J : x_i^e), both ideals
+    strictly larger than J. x_i lies in the most generators, so it is in
+    some generator that is not a pure power, and e is the median of its
+    exponents there; every such exponent is below that of a pure power
+    x_i^a in J, so x_i^e is outside J. Pairwise coprime generators end
+    the recursion with K = prod(1 - t^deg g).
+    """
+    gens = _minimal_monomials(leads)
+    if not gens:
+        return [1]
+    if not any(gens[0]):
+        return [0]
+    nvars = len(gens[0])
+    occurs = [sum(1 for m in gens if m[i]) for i in range(nvars)]
+    i = max(range(nvars), key=occurs.__getitem__)
+    if occurs[i] <= 1:
+        k = [1]
+        for m in gens:
+            k = _add_shifted(k, [-c for c in k], sum(m))
+        return k
+    exps = sorted(m[i] for m in gens if m[i] and sum(map(bool, m)) > 1)
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(nvars))
+    plus = [m for m in gens if m[i] < e] + [pivot]
+    colon = _minimal_monomials(
+        m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens)
+    return _add_shifted(_k_polynomial(plus), _k_polynomial(colon), e)
+
+
+def _divide_one_minus_t(k: List[int]) -> Optional[List[int]]:
+    """K / (1 - t) when (1 - t) divides K, that is K(1) = 0; else None."""
+    if sum(k):
+        return None
+    return list(accumulate(k[:-1]))
+
+
+def standard_monomials(leads: Sequence[Mono], nvars: int):
+    """Number of monomials outside the ideal J generated by ``leads``.
+
+    Returns INFINITE when there are infinitely many. The count is the
+    value at t = 1 of the Hilbert series K(t) / (1 - t)^nvars of S/J, which
+    is a polynomial exactly when (1 - t)^nvars divides K. The unit grading
+    suffices: the monomials outside J, and hence their number, do not
+    depend on the weights.
+    """
+    k = _k_polynomial(leads)
+    for _ in range(nvars):
+        k = _divide_one_minus_t(k)
+        if k is None:
+            return INFINITE
+    return sum(k)
 
 
 def colength_and_standard_monomials(gb: GroebnerBasis):
@@ -443,15 +498,24 @@ def colength_and_standard_monomials(gb: GroebnerBasis):
 
     The dimension equals the number of monomials outside the leading-term
     ideal; for graded ideals this is the length of the local quotient.
+    Finite iff each variable has a pure power among the leads; the basis
+    is then listed from the box those powers bound.
     """
     if gb.ambient_rank != 1:
         raise ArgumentError("colength requires an ideal basis")
-    count, basis = standard_monomials(gb.leads_by_position()[0],
-                                      len(gb.ring.variables))
-    if basis is None:
-        return INFINITE, None
-    key = gb.ring.ctx.mono_key
-    return count, sorted(basis, key=key)
+    leads = gb.leads_by_position()[0]
+    if any(not any(m) for m in leads):
+        return 0, []
+    bounds = []
+    for i in range(len(gb.ring.variables)):
+        powers = [m[i] for m in leads
+                  if sum(map(bool, m)) == 1 and m[i] > 0]
+        if not powers:
+            return INFINITE, None
+        bounds.append(min(powers))
+    basis = [e for e in product(*(range(b) for b in bounds))
+             if not any(_engine.mono_divides(m, e) for m in leads)]
+    return len(basis), sorted(basis, key=gb.ring.ctx.mono_key)
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
@@ -459,22 +523,23 @@ def krull_dimension(gb: GroebnerBasis) -> int:
 
     S^r/J and S^r/in(J) share a Hilbert function (Macaulay), and in(J) is
     a direct sum of monomial ideals, one per position; the dimension is the
-    largest over positions. At one position a subset U of variables is
-    independent when no leading monomial is supported inside U, and the
-    dimension is max |U|. Returns -1 when every position has a unit lead
-    (J is everything).
+    largest over positions. At one position it is v minus the number of
+    times (1 - t) divides the K-polynomial of the lead ideal: the order of
+    the pole of the Hilbert series at t = 1. The unit grading suffices,
+    since the dimension is the growth order of the number of standard
+    monomials, which does not depend on the weights. Returns -1 when every
+    position has a unit lead (J is everything).
     """
     nvars = len(gb.ring.variables)
     best = -1
     for leads in gb.leads_by_position():
-        if any(not any(m) for m in leads):
+        k = _k_polynomial(leads)
+        if not any(k):
             continue
-        supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-        for size in range(nvars, best, -1):
-            if any(all(not s <= frozenset(combo) for s in supports)
-                   for combo in combinations(range(nvars), size)):
-                best = size
-                break
+        order = 0
+        while (k := _divide_one_minus_t(k)) is not None:
+            order += 1
+        best = max(best, nvars - order)
     return best
 
 

@@ -204,7 +204,7 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
     while True:
         budget.check_kappa(t)
         q = ring.p ** t
-        if all(normal_form(ring.variable(i) ** q, gb).is_zero()
+        if all(normal_form(ring.variable(i).frobenius_power(q), gb).is_zero()
                for i in range(len(ring.variables))):
             return t
         t += 1

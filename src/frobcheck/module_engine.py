@@ -427,9 +427,14 @@ def min_generators(M: PresentedModule, budget: Budget = DEFAULT_BUDGET) -> int:
 def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
     """F_p-dimension of M, or INFINITE.
 
-    Counts standard monomials of the leading submodule position by
-    position; the ideal padding inside the relation basis makes each
-    position's leading ideal contain the leading ideal of I.
+    M and the quotient by the leading submodule of its relation basis share
+    a Hilbert function (Macaulay), and that leading submodule is a direct
+    sum of monomial ideals, one per position. So the length is the sum
+    over positions of the standard monomial counts, each read off the
+    Hilbert series of the lead ideal (``standard_monomials``). The ideal
+    padding inside the relation basis makes each position's leading ideal
+    contain the leading ideal of I. The unit grading suffices: the count
+    does not depend on the weights, nor on the positions' degree shifts.
     """
     if M.ambient_rank == 0:
         return 0
@@ -438,7 +443,7 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
         nvars = len(M.ring.variables)
         total = 0
         for leads in M.relations_groebner(budget).leads_by_position():
-            count, _ = standard_monomials(leads, nvars)
+            count = standard_monomials(leads, nvars)
             if count is INFINITE:
                 total = INFINITE
                 break

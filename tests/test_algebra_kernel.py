@@ -1,7 +1,7 @@
 """Kernel-level oracles: Groebner bases, normal forms, colengths,
 dimensions, bracket powers, q-th-root decomposition."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from frobcheck import (ArgumentError, INFINITE, Polynomial, RingModel,
                        bracket_power, buchberger,
                        colength_and_standard_monomials, krull_dimension,
-                       normal_form, qth_root_decompose)
+                       module_length, normal_form, qth_root_decompose, tor)
+from frobcheck.algebra_kernel import standard_monomials
 from frobcheck.cli import parse_polynomial
 
 
@@ -212,7 +213,7 @@ def test_normal_form_ring_mismatch():
         normal_form(P(R3, "x"), gb)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_normal_form_idempotent(data):
     ring = RingModel(3, ["x", "y"])
@@ -301,6 +302,101 @@ def test_krull_dimension_examples():
 
 
 # ---------------------------------------------------------------------------
+# lengths and dimensions from the Hilbert series, against direct counts
+
+def _box_count(leads, nvars):
+    """Standard monomials counted in the box the pure powers bound."""
+    if any(not any(m) for m in leads):
+        return 0
+    bounds = []
+    for i in range(nvars):
+        powers = [m[i] for m in leads if m[i] and sum(map(bool, m)) == 1]
+        if not powers:
+            return INFINITE
+        bounds.append(min(powers))
+    return sum(1 for e in product(*(range(b) for b in bounds))
+               if not any(all(a <= c for a, c in zip(m, e)) for m in leads))
+
+
+def _independent_set_dimension(leads, nvars):
+    """Most variables a set can hold with no lead supported inside it.
+
+    -1 for a unit lead (the quotient is zero).
+    """
+    if any(not any(m) for m in leads):
+        return -1
+    supports = [{i for i, e in enumerate(m) if e} for m in leads]
+    return max(size for size in range(nvars + 1)
+               for U in combinations(range(nvars), size)
+               if not any(s <= set(U) for s in supports))
+
+
+def _monomial_ideal_basis(nvars, leads):
+    ring = RingModel(2, ["x", "y", "z", "w"][:nvars])
+    return buchberger([ring.monomial(m) for m in leads], ring)
+
+
+@pytest.mark.parametrize("nvars, leads, count, dim", [
+    (2, [], INFINITE, 2),
+    (3, [(0, 0, 0), (1, 0, 0)], 0, -1),
+    (2, [(2, 0), (1, 1), (0, 3)], 4, 0),
+    (3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)], 19, 0),
+    (3, [(1, 1, 0), (0, 1, 1)], INFINITE, 2),
+    (4, [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0)], INFINITE, 2),
+])
+def test_series_on_named_monomial_ideals(nvars, leads, count, dim):
+    assert standard_monomials(leads, nvars) == count == \
+        _box_count(leads, nvars)
+    assert krull_dimension(_monomial_ideal_basis(nvars, leads)) == dim == \
+        _independent_set_dimension(leads, nvars)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """Leads in 1-4 variables; about half carry a pure power of each
+    variable, so Artinian and non-Artinian ideals both occur."""
+    nvars = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
+    leads = draw(st.lists(mono, max_size=6))
+    if draw(st.booleans()):
+        leads += [tuple(draw(st.integers(1, 6)) if j == i else 0
+                        for j in range(nvars)) for i in range(nvars)]
+    return nvars, leads
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ideal=_monomial_ideals())
+def test_series_count_and_dimension_match_direct_counts(ideal):
+    nvars, leads = ideal
+    assert standard_monomials(leads, nvars) == _box_count(leads, nvars)
+    assert krull_dimension(_monomial_ideal_basis(nvars, leads)) == \
+        _independent_set_dimension(leads, nvars)
+
+
+def test_series_on_corpus_relation_bases_over_weighted_rings(model_c,
+                                                             model_d):
+    # C has weights (3, 4, 5) and D (2, 3); the references ignore weights
+    multi = 0
+    for mf in (model_c, model_d):
+        k = mf.module("k")
+        nvars = len(mf.ring.variables)
+        modules = [M for _, M in sorted(mf.modules.items())]
+        for M in modules + [tor(k, k, 1), tor(k, k, 2)]:
+            gb = M.relations_groebner()
+            per_position = gb.leads_by_position()
+            counts = [_box_count(leads, nvars) for leads in per_position]
+            assert [standard_monomials(leads, nvars)
+                    for leads in per_position] == counts
+            assert module_length(M) == (
+                INFINITE if INFINITE in counts else sum(counts))
+            assert krull_dimension(gb) == max(
+                [_independent_set_dimension(leads, nvars)
+                 for leads in per_position] + [-1])
+            multi += gb.ambient_rank > 1
+    assert multi >= 4
+
+
+# ---------------------------------------------------------------------------
 # bracket powers and q-th roots
 
 def test_bracket_power_monomials():
@@ -344,7 +440,7 @@ def _poly_strategy(ring, max_exp=4, max_terms=5):
         lambda t: Polynomial.from_terms(ring, t))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_qth_root_reconstruction(data):
     ring = RingModel(3, ["x", "y"])
@@ -357,7 +453,7 @@ def test_qth_root_reconstruction(data):
     assert total == f
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_buchberger_matches_sympy_on_unit_weights(data):
     sympy = pytest.importorskip("sympy")
@@ -391,7 +487,7 @@ def test_buchberger_matches_sympy_on_unit_weights(data):
     assert len(mine) == len(theirs)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_buchberger_permutation_determinism_random(data):
     ring = RingModel(2, ["x", "y"])
