@@ -439,13 +439,14 @@ def _k_polynomial(leads: Sequence[Mono]) -> List[int]:
     """Coefficients of K(t) = (1 - t)^v H(t), H the Hilbert series of S/J.
 
     J is the monomial ideal generated by ``leads`` and S has the unit
-    grading. Bigatti's pivot recursion (JPAA 119, 1997) on a monomial
-    x_i^e outside J: K(J) = K(J + x_i^e) + t^e K(J : x_i^e), both ideals
-    strictly larger than J. x_i lies in the most generators, so it is in
-    some generator that is not a pure power, and e is the median of its
-    exponents there; every such exponent is below that of a pure power
-    x_i^a in J, so x_i^e is outside J. Pairwise coprime generators end
-    the recursion with K = prod(1 - t^deg g).
+    grading. Pairwise coprime minimal generators give K = prod(1 - t^deg g).
+    Otherwise Bigatti's pivot recursion (JPAA 119, 1997) applies to a
+    monomial x_i^e outside J: K(J) = K(J + x_i^e) + t^e K(J : x_i^e), both
+    ideals strictly larger than J, so the recursion ends. x_i is the
+    variable in the most generators, at least two, so it is in a generator
+    that is not a pure power; e is the median of its exponents in those.
+    Each is below the exponent of a pure power of x_i in J, if there is
+    one, so x_i^e is outside J.
     """
     gens = _minimal_monomials(leads)
     if not gens:

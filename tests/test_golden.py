@@ -75,16 +75,12 @@ def test_golden_report(name, capsys, monkeypatch):
 if __name__ == "__main__":
     import contextlib
     import io
+    from unittest import mock
     for name, command in sorted(COMMANDS.items()):
         buf = io.StringIO()
-        saved = dict(os.environ)
-        os.environ.update(ENV.get(name, {}))
-        try:
-            with contextlib.redirect_stdout(buf):
-                code = run(_argv(command))
-        finally:
-            os.environ.clear()
-            os.environ.update(saved)
+        with mock.patch.dict(os.environ, ENV.get(name, {})), \
+                contextlib.redirect_stdout(buf):
+            code = run(_argv(command))
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         shown = " ".join(_argv(command, os.path.join("tests", "models")))
