@@ -1,10 +1,29 @@
-"""Flat sparse Groebner engine (internal).
+"""Flat sparse Groebner engine (internal), on packed integer terms.
 
-Elements of a free module S^r over S = F_p[x_1..x_v] are "flat vectors":
-dicts mapping a term key ``(position, exponent_tuple)`` to a nonzero residue
-in [1, p). The term order is position-over-term: lower position dominates,
-ties broken by weighted graded reverse lexicographic order on the monomial.
-Rank-1 vectors (all keys at position 0) are plain polynomials.
+Elements of a free module S^r over S = F_p[x_1..x_v] are vectors. The
+module layer writes them as "flat vectors", dicts mapping a term key
+``(position, exponent_tuple)`` to a nonzero residue in [1, p). Inside the
+engine every term is one int instead (Monagan-Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+
+- a monomial packs to k(m) = wdeg(m) * 2^S - sum_i e_i * 2^(F*i), with one
+  F-bit field per variable whose top bit is a guard bit and S = F*v;
+- a term packs to T = k(m) - pos * 2^PB, with PB = S + F.
+
+k is linear, k(mn) = k(m) + k(n), so a shift by a monomial is one int
+addition, and the int order is the term order: position-over-term (lower
+position dominates), ties broken by weighted graded reverse lexicographic
+order, the key (wdeg, -e_v, ..., -e_1). The exponent fields of T are
+E(T) = (-T) & (2^S - 1), and a lead L at the same position divides T iff
+((E(T) | GUARD) - E(L)) & GUARD == GUARD, GUARD holding every guard bit.
+Rank-1 vectors (all terms at position 0) are plain polynomials.
+
+The packing needs every weighted degree below DEGREE_LIMIT = 2^(F-1). So do
+all exponents, since weights are positive. Packing a monomial checks it.
+Every term ``reduce_full`` picks is checked too. No setting lifts this
+ceiling; a computation that passes it raises ``BudgetExceededError``. Terms
+in flight stay exact below 2^F, one shift past the ceiling, so a check on
+the picked term is enough.
 
 Everything here is deterministic: pair selection is the normal strategy
 (smallest lcm in the monomial order, ties by generator index), reducers are
@@ -20,23 +39,26 @@ basis element arose from the generators.
 from __future__ import annotations
 
 import heapq
-from operator import add, le, mul, sub
+from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .budget import Budget
+from .errors import BudgetExceededError
 
 Mono = Tuple[int, ...]
 TermKey = Tuple[int, Mono]
 FlatVec = Dict[TermKey, int]
+PackedVec = Dict[int, int]
+
+F = 16                        # bits per exponent field, the top a guard bit
+DEGREE_LIMIT = 1 << (F - 1)   # every weighted degree stays below this
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
-
-def mono_sub(a: Mono, b: Mono) -> Mono:
-    # caller guarantees b | a
-    return tuple(map(sub, a, b))
+def _past_ceiling(deg: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        "packed_degree", DEGREE_LIMIT - 1,
+        f"weighted degree {deg} does not fit the packed term encoding; "
+        "no setting raises this limit")
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -53,118 +75,186 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
 
 
 class EngineContext:
-    """Field and order data: modulus, weights, key caches, inverse table."""
+    """Field and order data: modulus, weights, packing layout, key caches
+    and the inverse table.
 
-    __slots__ = ("p", "weights", "nvars", "zero_mono", "_inv", "_mkey")
+    ``shift`` is S, ``mask`` is 2^S - 1, ``guard`` holds the guard bits
+    and ``pb`` is PB. A term T sits at position -(T >> pb), its monomial
+    key is T & top, and that key exceeds ``ceiling`` iff the weighted
+    degree is DEGREE_LIMIT or more.
+    """
+
+    __slots__ = ("p", "weights", "nvars", "zero_mono", "shift", "mask",
+                 "guard", "pb", "top", "ceiling", "_fields", "_inv", "_mkey",
+                 "_mono")
 
     def __init__(self, p: int, weights: Tuple[int, ...]):
         self.p = p
         self.weights = tuple(weights)
         self.nvars = len(weights)
         self.zero_mono = (0,) * self.nvars
+        self._fields = [F * i for i in range(self.nvars)]
+        self.shift = F * self.nvars
+        self.mask = (1 << self.shift) - 1
+        self.guard = sum(1 << (s + F - 1) for s in self._fields)
+        self.pb = self.shift + F
+        self.top = (1 << self.pb) - 1
+        self.ceiling = (DEGREE_LIMIT - 1) << self.shift
         self._inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
-        self._mkey: Dict[Mono, tuple] = {}
+        self._mkey: Dict[Mono, int] = {}
+        self._mono: Dict[int, Mono] = {}
 
     def inv(self, c: int) -> int:
         return self._inv[c % self.p]
 
-    def mono_key(self, m: Mono) -> tuple:
+    def mono_key(self, m: Mono) -> int:
+        """k(m); raises past the packed degree ceiling."""
         k = self._mkey.get(m)
         if k is None:
-            w = self.weights
-            k = (sum(w[i] * e for i, e in enumerate(m)),) + tuple(
-                -e for e in reversed(m))
+            d = sum(map(mul, self.weights, m))
+            if d >= DEGREE_LIMIT:
+                raise _past_ceiling(d)
+            k = (d << self.shift) - sum(e << s
+                                        for e, s in zip(m, self._fields))
             self._mkey[m] = k
         return k
 
-    def term_key(self, t: TermKey) -> tuple:
-        return (-t[0],) + self.mono_key(t[1])
+    def term_key(self, t: TermKey) -> int:
+        return self.mono_key(t[1]) - (t[0] << self.pb)
 
     def wdeg(self, m: Mono) -> int:
-        return self.mono_key(m)[0]
+        return (self.mono_key(m) + self.mask) >> self.shift
+
+    def mono_of(self, k: int) -> Mono:
+        """The monomial m with k(m) == k (a term at position 0)."""
+        m = self._mono.get(k)
+        if m is None:
+            e = -k & self.mask
+            fmask = (1 << F) - 1
+            m = tuple((e >> s) & fmask for s in self._fields)
+            self._mono[k] = m
+        return m
+
+    def pack(self, vec: FlatVec) -> PackedVec:
+        key, pb = self.mono_key, self.pb
+        return {key(m) - (pos << pb): c for (pos, m), c in vec.items()}
+
+    def unpack(self, vec: PackedVec) -> FlatVec:
+        pb, top, mono_of = self.pb, self.top, self.mono_of
+        out: FlatVec = {}
+        for t, c in vec.items():
+            out[(-(t >> pb), mono_of(t & top))] = c
+        return out
 
 
-def vec_axpy(target: FlatVec, c: int, shift: Mono, src: FlatVec, p: int) -> None:
-    """target += c * x^shift * src, in place; c taken mod p."""
+def vec_axpy(target: PackedVec, c: int, shift: int, src: PackedVec,
+             p: int) -> None:
+    """target += c * x^shift * src, in place; c taken mod p, shift a
+    packed monomial (or a difference of two terms at one position)."""
     c %= p
     if not c:
         return
-    for (pos, m), a in src.items():
-        key = (pos, mono_mul(shift, m))
-        v = (target.get(key, 0) + c * a) % p
+    get = target.get
+    for t, a in src.items():
+        t += shift
+        v = (get(t, 0) + c * a) % p
         if v:
-            target[key] = v
+            target[t] = v
         else:
-            target.pop(key, None)
+            target.pop(t, None)
 
 
-def vec_scale(vec: FlatVec, c: int, p: int) -> FlatVec:
+def vec_scale(vec: dict, c: int, p: int) -> dict:
     c %= p
     return {k: (c * a) % p for k, a in vec.items()}
 
 
-def lead_term(vec: FlatVec, ctx: EngineContext) -> TermKey:
-    return max(vec, key=ctx.term_key)
-
-
 class GIndex:
-    """A list of monic flat vectors with a per-position index.
+    """A list of monic packed vectors with a per-position index.
 
-    ``by_pos[pos]`` lists, in ascending order, the indices of the elements
-    whose lead sits at ``pos``. Under position-over-term only those leads
-    can divide a term at ``pos`` or form an S-pair with a lead there, so
-    divisor lookups, pair updates and minimalization all scan one
-    position's list, never the whole basis.
+    ``leads[k]`` is the packed lead term of ``elems[k]`` and ``exps[k]``
+    its exponent fields, E(lead). ``by_pos[pos]`` lists, in ascending
+    order, the indices of the elements whose lead sits at ``pos``. Under
+    position-over-term only those leads can divide a term at ``pos`` or
+    form an S-pair with a lead there, so divisor lookups, pair updates and
+    minimalization all scan one position's list, never the whole basis.
+    The lead monomials are decoded on first request and cached.
     """
 
-    __slots__ = ("ctx", "elems", "leads", "by_pos")
+    __slots__ = ("ctx", "elems", "leads", "exps", "by_pos", "_monos")
 
     def __init__(self, ctx: EngineContext):
         self.ctx = ctx
-        self.elems: List[FlatVec] = []
-        self.leads: List[TermKey] = []
+        self.elems: List[PackedVec] = []
+        self.leads: List[int] = []
+        self.exps: List[int] = []
         self.by_pos: Dict[int, List[int]] = {}
+        self._monos: List[Mono] = []
 
-    def add(self, vec: FlatVec, lead: TermKey) -> int:
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def add(self, vec: PackedVec, lead: int) -> int:
         idx = len(self.elems)
         self.elems.append(vec)
         self.leads.append(lead)
-        self.by_pos.setdefault(lead[0], []).append(idx)
+        self.exps.append(-lead & self.ctx.mask)
+        self.by_pos.setdefault(-(lead >> self.ctx.pb), []).append(idx)
         return idx
 
-    def find_divisor(self, pos: int, m: Mono) -> int:
-        # lowest index wins: fixed reducer choice keeps reductions reproducible
-        for idx in self.by_pos.get(pos, ()):
-            if mono_divides(self.leads[idx][1], m):
-                return idx
-        return -1
+    def lead_monos(self) -> List[Mono]:
+        """The lead monomials, decoded."""
+        monos = self._monos
+        if len(monos) < len(self.leads):
+            top, mono_of = self.ctx.top, self.ctx.mono_of
+            monos.extend(mono_of(lead & top)
+                         for lead in self.leads[len(monos):])
+        return monos
+
+    def flat_leads(self) -> List[TermKey]:
+        pb = self.ctx.pb
+        return [(-(lead >> pb), m)
+                for lead, m in zip(self.leads, self.lead_monos())]
+
+    def flat_elems(self) -> List[FlatVec]:
+        return [self.ctx.unpack(vec) for vec in self.elems]
 
 
-def reduce_full(vec: FlatVec, G: GIndex, ctx: EngineContext,
-                on_reduce: Optional[Callable[[int, Mono, int], None]] = None
-                ) -> FlatVec:
-    """Full normal form of ``vec`` against the monic vectors in ``G``.
+def reduce_full(vec: PackedVec, G: GIndex, ctx: EngineContext,
+                on_reduce: Optional[Callable[[int, int, int], None]] = None
+                ) -> PackedVec:
+    """Full normal form of the packed ``vec`` against the monic vectors in
+    ``G``.
 
-    Consumes ``vec`` (a private dict). Each reduction step subtracts
-    c * x^delta * G.elems[t] and is reported as on_reduce(t, delta, c) to
-    an observer that counts or records steps. Terms moved to the output are
-    irreducible and, in a multiplicative order, strictly decreasing, so the
-    loop terminates.
+    Consumes ``vec`` (a private dict). Each step takes the largest term t,
+    which is the largest int, and looks for the lowest-index lead L at its
+    position with E(L) <= E(t) field by field (the guard-bit test). It then
+    subtracts c * x^delta * G.elems[gi], delta = t - L, and reports it as
+    on_reduce(gi, delta, c) to an observer that counts or records steps.
+    Terms moved to the output are irreducible and, in a multiplicative
+    order, strictly decreasing, so the loop terminates.
     """
-    p = ctx.p
-    out: FlatVec = {}
+    p, pb, mask, guard = ctx.p, ctx.pb, ctx.mask, ctx.guard
+    top, ceiling = ctx.top, ctx.ceiling
+    leads, exps, elems, by_pos = G.leads, G.exps, G.elems, G.by_pos
+    out: PackedVec = {}
     while vec:
-        t = max(vec, key=ctx.term_key)
-        pos, m = t
-        gi = G.find_divisor(pos, m)
-        if gi < 0:
-            out[t] = vec.pop(t)
+        t = max(vec)
+        if t & top > ceiling:
+            raise _past_ceiling(((t & top) + mask) >> ctx.shift)
+        r = -t & mask | guard
+        for gi in by_pos.get(-(t >> pb), ()):
+            # lowest index wins: a fixed reducer keeps reductions reproducible
+            if r - exps[gi] & guard == guard:
+                break
         else:
-            c = vec[t]
-            delta = mono_sub(m, G.leads[gi][1])
-            vec_axpy(vec, p - c, delta, G.elems[gi], p)
-            if on_reduce is not None:
-                on_reduce(gi, delta, c)
+            out[t] = vec.pop(t)
+            continue
+        c = vec[t]
+        delta = t - leads[gi]
+        vec_axpy(vec, p - c, delta, elems[gi], p)
+        if on_reduce is not None:
+            on_reduce(gi, delta, c)
     return out
 
 
@@ -178,23 +268,27 @@ class GBData:
         self.spairs_reduced = spairs_reduced
 
 
-def _is_rank1(gens: List[FlatVec]) -> bool:
-    return all(k[0] == 0 for g in gens for k in g)
+def _is_rank1(vecs: Sequence[PackedVec]) -> bool:
+    # a term at position 0 is k(m) >= 0; every later position is negative
+    return all(t >= 0 for g in vecs for t in g)
 
 
-def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
-                    budget: Budget, seed: Sequence[FlatVec] = ()) -> GBData:
+def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
+                    budget: Budget, seed: Optional[GIndex] = None) -> GBData:
     """Reduced Groebner basis of the submodule generated by ``gens`` and
     ``seed``.
 
+    ``gens`` are flat vectors, packed once on entry; the result is packed.
     Pair management follows Gebauer-Moeller: the chain filter on old pairs,
     the M and F rules on new pairs, and the product criterion only in the
     rank-1 (ideal) case, where it is valid. S-pairs form only between
     leads at one position, so new pairs are drawn from ``idx.by_pos`` and
     live pairs are kept per position: an insert touches only the leads and
-    pairs at its own position, and so does the final minimalization.
+    pairs at its own position, and so does the final minimalization. The
+    pair bookkeeping works on the decoded lead monomials; each lcm is
+    packed, and so checked against the degree ceiling, as its pair is made.
 
-    ``seed`` is a block already known to be a Groebner basis (the qring
+    ``seed`` is an index already known to be a Groebner basis (the qring
     strategy of Greuel-Pfister, ch. 2): its vectors must be monic and form
     a reduced Groebner basis of their span. They are trusted, not checked.
     They enter the index before the generators, no S-pair is ever formed
@@ -202,24 +296,26 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
     vector and any other element form as usual. The output equals that of
     ``gens + seed`` unseeded, since the reduced basis is unique.
     """
-    p = ctx.p
+    p, pb, mask, guard, shift = ctx.p, ctx.pb, ctx.mask, ctx.guard, ctx.shift
+    packed = [ctx.pack(g) for g in gens]
     idx = GIndex(ctx)
+    monos = idx._monos
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
-    rank1 = _is_rank1(gens) and _is_rank1(seed)
+    rank1 = _is_rank1(packed) and (seed is None or _is_rank1(seed.elems))
     spairs = 0
 
     def gm_update(t: int) -> None:
-        pt, mt = idx.leads[t]
+        pt, mt = -(idx.leads[t] >> pb), monos[t]
         by_lcm: Dict[Mono, List[int]] = {}
         for i in idx.by_pos[pt][:-1]:
-            by_lcm.setdefault(mono_lcm(idx.leads[i][1], mt), []).append(i)
+            by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
         # chain filter: drop old pairs strictly covered through the new lead
         pairs = alive_pairs.setdefault(pt, {})
         for (i, j), l in list(pairs.items()):
             if mono_divides(mt, l) and \
-               mono_lcm(idx.leads[i][1], mt) != l and \
-               mono_lcm(idx.leads[j][1], mt) != l:
+               mono_lcm(monos[i], mt) != l and \
+               mono_lcm(monos[j], mt) != l:
                 del pairs[(i, j)]
         for l in sorted(by_lcm):
             # M rule: keep only lcm-minimal candidates
@@ -227,60 +323,64 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
                 continue
             # F rule: one pair per lcm; product criterion kills a whole class
             members = by_lcm[l]
-            if rank1 and any(mono_coprime(idx.leads[i][1], mt)
-                             for i in members):
+            if rank1 and any(mono_coprime(monos[i], mt) for i in members):
                 continue
             i = members[0]
             pairs[(i, t)] = l
             heapq.heappush(heap, (ctx.mono_key(l), i, t))
 
-    def add_elem(vec: FlatVec) -> None:
-        lead = lead_term(vec, ctx)
+    def add_elem(vec: PackedVec) -> None:
+        lead = max(vec)
         c = vec[lead]
         if c != 1:
             vec = vec_scale(vec, ctx.inv(c), p)
         idx.add(vec, lead)
+        idx.lead_monos()
         budget.check_basis(len(idx.elems))
         gm_update(len(idx.elems) - 1)
 
-    for vec in seed:
-        idx.add(vec, lead_term(vec, ctx))
+    if seed is not None:
+        for vec, lead in zip(seed.elems, seed.leads):
+            idx.add(vec, lead)
+        monos.extend(seed.lead_monos())
     budget.check_basis(len(idx.elems))
-    for g in gens:
+    for g in packed:
         if g:
-            add_elem(dict(g))
+            add_elem(g)
 
     while heap:
         key, i, j = heapq.heappop(heap)
-        l = alive_pairs[idx.leads[i][0]].pop((i, j), None)
-        if l is None:
+        pos = -(idx.leads[i] >> pb)
+        if alive_pairs[pos].pop((i, j), None) is None:
             continue
         spairs += 1
         budget.check_spairs(spairs)
-        budget.check_degree(key[0])
-        di = mono_sub(l, idx.leads[i][1])
-        dj = mono_sub(l, idx.leads[j][1])
-        u: FlatVec = {}
-        vec_axpy(u, 1, di, idx.elems[i], p)
-        vec_axpy(u, p - 1, dj, idx.elems[j], p)
+        budget.check_degree((key + mask) >> shift)
+        lcm = key - (pos << pb)
+        u: PackedVec = {}
+        vec_axpy(u, 1, lcm - idx.leads[i], idx.elems[i], p)
+        vec_axpy(u, p - 1, lcm - idx.leads[j], idx.elems[j], p)
         h = reduce_full(u, idx, ctx)
         if h:
             add_elem(h)
 
     # minimalize: drop elements whose lead is covered by another survivor
+    leads, exps = idx.leads, idx.exps
     alive = []
-    for i, (pi, mi) in enumerate(idx.leads):
-        for j in idx.by_pos[pi]:
-            mj = idx.leads[j][1]
-            if j != i and mono_divides(mj, mi) and (mj != mi or j < i):
+    for i, li in enumerate(leads):
+        ri = exps[i] | guard
+        for j in idx.by_pos[-(li >> pb)]:
+            if j != i and ri - exps[j] & guard == guard and \
+               (leads[j] != li or j < i):
                 break
         else:
             alive.append(i)
-    alive.sort(key=lambda k: ctx.term_key(idx.leads[k]))
+    alive.sort(key=leads.__getitem__)
 
     final = GIndex(ctx)
     for i in alive:
-        final.add(idx.elems[i], idx.leads[i])
+        final.add(idx.elems[i], leads[i])
+    final._monos = [monos[i] for i in alive]
 
     # tail reduction: leads are pairwise non-divisible so irreducibility of
     # tail terms depends on leads only; one pass yields the reduced basis
@@ -298,9 +398,9 @@ def buchberger_flat(gens: List[FlatVec], ctx: EngineContext,
     return GBData(final, spairs)
 
 
-def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
+def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
                   ctx: EngineContext, budget: Budget,
-                  seed: Sequence[FlatVec] = ()) -> List[FlatVec]:
+                  seed: Optional[GIndex] = None) -> GIndex:
     """Vectors a in S^nlead with sum a_j gens[j] in the span of the rest.
 
     ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block,
@@ -312,8 +412,8 @@ def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
     ``rank`` have no term below ``rank`` and form the reduced Groebner basis
     of the kernel (elimination of module components; Greuel-Pfister, A
     Singular Introduction to Commutative Algebra, ch. 2). They are returned
-    shifted down by ``rank``, keyed by ``(lead_index, mono)``, in basis
-    order.
+    shifted down by ``rank``, positions indexing the lead block, as a
+    packed index in basis order; ``flat_elems()`` decodes them.
 
     ``gens`` must be graded (some degree shift per position makes each
     generator homogeneous), so that the extended generators and the whole
@@ -323,6 +423,10 @@ def syzygies_flat(gens: List[FlatVec], rank: int, nlead: int,
     """
     ext = [{**g, (rank + j, ctx.zero_mono): 1}
            for j, g in enumerate(gens[:nlead])]
-    G = buchberger_flat(ext + gens[nlead:], ctx, budget, seed).index
-    return [{(pos - rank, m): c for (pos, m), c in g.items()}
-            for g, lead in zip(G.elems, G.leads) if lead[0] >= rank]
+    G = buchberger_flat(ext + list(gens[nlead:]), ctx, budget, seed).index
+    down = rank << ctx.pb
+    kernel = GIndex(ctx)
+    for vec, lead in zip(G.elems, G.leads):
+        if -(lead >> ctx.pb) >= rank:
+            kernel.add({t + down: c for t, c in vec.items()}, lead + down)
+    return kernel

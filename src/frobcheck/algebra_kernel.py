@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, product
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import EngineContext, FlatVec, GIndex, Mono, reduce_full
+from ._engine import (EngineContext, FlatVec, GIndex, Mono, TermKey,
+                      reduce_full)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ArgumentError
 
@@ -119,7 +121,7 @@ class Polynomial:
         out: Dict[Mono, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _engine.mono_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 v = (out.get(m, 0) + c1 * c2) % p
                 if v:
                     out[m] = v
@@ -341,7 +343,8 @@ class GroebnerBasis:
 
     ``ambient_rank`` is 1 for ideals. Iteration and rendering order is by
     increasing leading term; reducedness (no term divisible by another lead,
-    monic elements) is guaranteed by construction.
+    monic elements) is guaranteed by construction. The basis is held
+    packed in ``index``; the views below decode it.
     """
 
     __slots__ = ("ring", "ambient_rank", "index")
@@ -355,26 +358,27 @@ class GroebnerBasis:
         return len(self.index.elems)
 
     @property
-    def leads(self) -> List[Tuple[int, Mono]]:
-        return list(self.index.leads)
+    def leads(self) -> List[TermKey]:
+        return self.index.flat_leads()
 
     def leads_by_position(self) -> List[List[Mono]]:
         """Generators of the leading ideal at each ambient position."""
         idx = self.index
-        return [[idx.leads[k][1] for k in idx.by_pos.get(j, ())]
+        monos = idx.lead_monos()
+        return [[monos[k] for k in idx.by_pos.get(j, ())]
                 for j in range(self.ambient_rank)]
 
     def polynomials(self) -> List[Polynomial]:
         if self.ambient_rank != 1:
             raise ArgumentError("polynomials() requires an ideal basis")
         out = []
-        for vec in self.index.elems:
+        for vec in self.index.flat_elems():
             out.append(Polynomial(self.ring, {m: c for (_, m), c in vec.items()}))
         return out
 
     def vectors(self) -> List[Tuple[Polynomial, ...]]:
         out = []
-        for vec in self.index.elems:
+        for vec in self.index.flat_elems():
             cols: List[Dict[Mono, int]] = [dict() for _ in range(self.ambient_rank)]
             for (pos, m), c in vec.items():
                 cols[pos][m] = c
@@ -382,7 +386,8 @@ class GroebnerBasis:
         return out
 
     def reduce_flat(self, vec: FlatVec) -> FlatVec:
-        return reduce_full(dict(vec), self.index, self.ring.ctx)
+        ctx = self.ring.ctx
+        return ctx.unpack(reduce_full(ctx.pack(vec), self.index, ctx))
 
 
 def _poly_to_flat(f: Polynomial) -> FlatVec:

@@ -1,12 +1,17 @@
 """Finitely presented modules over R = S/I and their homological algebra.
 
 A module is the cokernel of a relations matrix into a free module R^r.
-Matrices are lists of columns, and a column is a flat vector of the engine
+Matrices are lists of columns, and a column is a flat vector
 ({(row, exponent tuple): coeff}); a map R^t -> R^r is the list of images of
 the t source basis vectors. Computation over R is realized in S by
 adjoining the ideal's Groebner basis times each ambient unit vector, so one
 engine serves both layers; every reported presentation is over R with
 entries in normal form.
+
+The engine works on packed integer terms (``_engine``). Columns meet it only
+at a few boundaries: ``_nf`` packs, reduces and decodes; Buchberger and
+kernel calls pack their generators once; relation bases stay packed inside
+their ``GroebnerBasis`` and are shifted and reused as seeds in packed form.
 
 Polynomials enter only through ``PresentedModule.from_rows``, Polynomial
 vectors given to ``module_groebner`` and ``syzygies``, and the ring
@@ -26,10 +31,11 @@ way, so its rank is a Betti number too.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import FlatVec, GIndex, lead_term, reduce_full, vec_axpy
+from ._engine import FlatVec, GIndex, Mono, reduce_full
 from .algebra_kernel import (GroebnerBasis, INFINITE, Polynomial, RingModel,
                              standard_monomials)
 from .budget import DEFAULT_BUDGET, Budget
@@ -41,23 +47,40 @@ Matrix = List[FlatVec]
 # ---------------------------------------------------------------------------
 # column/matrix helpers
 
+def col_axpy(target: FlatVec, c: int, shift: Mono, src: FlatVec, p: int
+             ) -> None:
+    """target += c * x^shift * src, in place; c taken mod p."""
+    c %= p
+    if not c:
+        return
+    for (pos, m), a in src.items():
+        key = (pos, tuple(map(add, shift, m)))
+        v = (target.get(key, 0) + c * a) % p
+        if v:
+            target[key] = v
+        else:
+            target.pop(key, None)
+
+
 def _nf(ring: RingModel, vec: FlatVec, budget: Budget) -> FlatVec:
     """Normal form of a column modulo the ideal, one position at a time.
 
-    Each position's part is reduced on its own: ``reduce_full`` looks for
-    the largest term of the whole vector on every step, so one reduction of
-    a wide column would rescan all positions.
+    Each position's part is packed at position 0 and reduced on its own:
+    ``reduce_full`` looks for the largest term of the whole vector on every
+    step, so one reduction of a wide column would rescan all positions.
     """
     if not ring.ideal_gens:
         return dict(vec)
+    ctx = ring.ctx
     G = ring.ideal_groebner(budget).index
-    parts: Dict[int, FlatVec] = {}
+    key, mono_of = ctx.mono_key, ctx.mono_of
+    parts: Dict[int, Dict[int, int]] = {}
     for (pos, m), c in vec.items():
-        parts.setdefault(pos, {})[(0, m)] = c
+        parts.setdefault(pos, {})[key(m)] = c
     out: FlatVec = {}
     for pos, part in parts.items():
-        for (_, m), c in reduce_full(part, G, ring.ctx).items():
-            out[(pos, m)] = c
+        for k, c in reduce_full(part, G, ctx).items():
+            out[(pos, mono_of(k))] = c
     return out
 
 
@@ -109,15 +132,19 @@ def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
                     "graded structure (no consistent degree shifts exist)")
 
 
-def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> List[FlatVec]:
+def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> GIndex:
     """GB(I) times each unit vector of S^rank: the reduced Groebner basis of
-    I S^rank, so it enters ``buchberger_flat`` as a seed."""
-    pads: List[FlatVec] = []
+    I S^rank, so it enters ``buchberger_flat`` as a seed. The packed
+    vectors of GB(I) move to position j by subtracting j << pb."""
+    pads = GIndex(ring.ctx)
     if not ring.ideal_gens:
         return pads
-    for g in ring.ideal_groebner(budget).index.elems:
+    gb = ring.ideal_groebner(budget).index
+    pb = ring.ctx.pb
+    for g, lead in zip(gb.elems, gb.leads):
         for j in range(rank):
-            pads.append({(j, m): c for (_, m), c in g.items()})
+            s = j << pb
+            pads.add({t - s: c for t, c in g.items()}, lead - s)
     return pads
 
 
@@ -128,7 +155,7 @@ def matmul(ring: RingModel, a: Matrix, b: Matrix, budget: Budget = DEFAULT_BUDGE
     for bcol in b:
         acc: FlatVec = {}
         for (k, m), c in bcol.items():
-            vec_axpy(acc, c, m, a[k], ring.p)
+            col_axpy(acc, c, m, a[k], ring.p)
         out.append(_nf(ring, acc, budget))
     return out
 
@@ -287,13 +314,12 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
     rank = target.ambient_rank
     _require_graded(ring, list(lead_cols) + list(rest_cols)
                     + list(target.columns), rank)
-    seed = target.relations_groebner(budget).index.elems \
+    seed = target.relations_groebner(budget).index \
         if target.columns else _ideal_padding(ring, rank, budget)
-    kernel = GIndex(ring.ctx)
+    kernel = _engine.syzygies_flat(list(lead_cols) + list(rest_cols), rank,
+                                   len(lead_cols), ring.ctx, budget, seed)
     out: Matrix = []
-    for z in _engine.syzygies_flat(list(lead_cols) + list(rest_cols), rank,
-                                   len(lead_cols), ring.ctx, budget, seed):
-        kernel.add(z, lead_term(z, ring.ctx))
+    for z in kernel.flat_elems():
         col = _nf(ring, z, budget)
         if col:
             out.append(col)
@@ -367,8 +393,8 @@ def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
             # the correction needs reducing
             delta: FlatVec = {}
             for key in [key for key in col if key[0] == r0]:
-                vec_axpy(delta, col.pop(key), key[1], subst[r0][1], p)
-            vec_axpy(col, 1, zero, _nf(ring, delta, budget), p)
+                col_axpy(delta, col.pop(key), key[1], subst[r0][1], p)
+            col_axpy(col, 1, zero, _nf(ring, delta, budget), p)
             due = [i for i, _ in col if i in subst]
 
     work: Matrix = []
@@ -639,9 +665,9 @@ def _tensor_presented(N: PresentedModule, k: int,
     vectors stay inside their block of positions, so no S-pair or reduction
     ever mixes two blocks and the copies together form the reduced basis.
     They are listed by block, last block first, which is the order by lead
-    that ``buchberger_flat`` returns. Only N's own basis costs a Buchberger
-    call. A free N^k needs no basis: ``_kernel_columns`` seeds with the
-    padding.
+    that ``buchberger_flat`` returns. A packed copy moves to block b by
+    subtracting (b * rN) << pb. Only N's own basis costs a Buchberger call.
+    A free N^k needs no basis: ``_kernel_columns`` seeds with the padding.
     """
     key = ("tensor", k)
     Nk = N._cache.get(key)
@@ -656,10 +682,9 @@ def _tensor_presented(N: PresentedModule, k: int,
             gb = N.relations_groebner(budget).index
             copies = GIndex(N.ring.ctx)
             for b in reversed(range(k)):
-                for vec, (pos, m) in zip(gb.elems, gb.leads):
-                    copies.add({(b * rn + i, mi): c
-                                for (i, mi), c in vec.items()},
-                               (b * rn + pos, m))
+                s = (b * rn) << N.ring.ctx.pb
+                for vec, lead in zip(gb.elems, gb.leads):
+                    copies.add({t - s: c for t, c in vec.items()}, lead - s)
             Nk._cache["gb"] = GroebnerBasis(N.ring, k * rn, copies)
     return Nk
 

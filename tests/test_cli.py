@@ -176,6 +176,30 @@ def test_run_budget_exit_three(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, argv", [
+    # past the ceiling in the model itself: rejected while parsing
+    ("x^40000", ["info"]),
+    # y^20000 packs, its Frobenius power y^40000 does not
+    ("y^20000", ["tor", "-m", "M", "-n", "1", "-i", "1", "--method",
+                 "functor"]),
+])
+def test_run_past_packed_degree_ceiling_exit_three(entry, argv, tmp_path,
+                                                   capsys, monkeypatch):
+    # the packed term encoding holds weighted degrees up to 32767, and no
+    # budget setting lifts that
+    monkeypatch.setenv("FROBCHECK_MAX_DEGREE", "1000000")
+    model = tmp_path / "high.json"
+    model.write_text(json.dumps({
+        "p": 2, "variables": ["x", "y"],
+        "modules": {"M": {"ambient_rank": 1, "relations": [[entry]]}},
+    }))
+    code = run(argv[:1] + [str(model)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "packed_degree (limit 32767)" in captured.err
+    assert captured.out == ""
+
+
 def test_budget_env_parsing(monkeypatch):
     monkeypatch.setenv("FROBCHECK_MAX_SPAIRS", "12345")
     b = budget_from_env()

@@ -1,6 +1,7 @@
-"""Flat engine oracles: reduced module Groebner bases checked by an
-independent term order and division, elimination kernels checked against a
-tracked Schreyer reference, seeded calls checked against unseeded ones,
+"""Flat engine oracles: the packed term encoding checked against tuple
+keys, reduced module Groebner bases checked by an independent term order
+and division, elimination kernels checked against a tracked Schreyer
+reference, seeded calls checked against unseeded ones, the degree ceiling,
 cancellation polls, and the benchmark tracer's bindings."""
 
 import heapq
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcheck.budget import Budget
-from frobcheck._engine import (EngineContext, GIndex, buchberger_flat,
-                               lead_term, mono_coprime, mono_divides,
-                               mono_lcm, mono_sub, reduce_full,
-                               syzygies_flat, vec_axpy, vec_scale)
+from frobcheck.errors import BudgetExceededError
+from frobcheck._engine import (DEGREE_LIMIT, EngineContext, GIndex,
+                               buchberger_flat, mono_coprime, mono_divides,
+                               mono_lcm, reduce_full, syzygies_flat,
+                               vec_axpy, vec_scale)
 
 P = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -26,12 +28,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # independent oracle: position-over-term order and division, written out
 # here rather than taken from the engine
 
+def _tuple_key(weights, m):
+    """Weighted grevlex: degree first, then the smaller last exponent."""
+    wdeg = sum(w * e for w, e in zip(weights, m))
+    return (wdeg, [-e for e in reversed(m)])
+
+
 def _lead(vec, weights):
-    def key(term):
-        pos, m = term
-        wdeg = sum(w * e for w, e in zip(weights, m))
-        return (-pos, wdeg, [-e for e in reversed(m)])
-    return max(vec, key=key)
+    return max(vec, key=lambda t: (-t[0], _tuple_key(weights, t[1])))
 
 
 def _divides(a, b):
@@ -76,36 +80,41 @@ def _reduces_to_zero(vec, basis, weights):
 # through them, the kernel algorithm the engine used before elimination
 
 def _ref_buchberger(gens, ctx):
-    """Reduced basis plus certificates: reps[k] is keyed by (gens index,
-    mono) and combines the generators into basis element k."""
-    p = ctx.p
+    """Reduced basis plus certificates: reps[k] is packed with the gens
+    index as its position and combines the generators into basis element
+    k. Vectors are packed as in the engine, whose reductions this mirrors
+    through ``on_reduce``, whose deltas are packed shifts."""
+    p, pb = ctx.p, ctx.pb
     idx = GIndex(ctx)
     reps, heap, alive_pairs = [], [], {}
     rank1 = all(k[0] == 0 for g in gens for k in g)
 
+    def pos_of(t):
+        return -(t >> pb)
+
     def gm_update(t):
-        pt, mt = idx.leads[t]
+        monos = idx.lead_monos()
+        pt, mt = pos_of(idx.leads[t]), monos[t]
         by_lcm = {}
         for i in idx.by_pos[pt][:-1]:
-            by_lcm.setdefault(mono_lcm(idx.leads[i][1], mt), []).append(i)
+            by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
         pairs = alive_pairs.setdefault(pt, {})
         for (i, j), l in list(pairs.items()):
             if mono_divides(mt, l) and \
-               mono_lcm(idx.leads[i][1], mt) != l and \
-               mono_lcm(idx.leads[j][1], mt) != l:
+               mono_lcm(monos[i], mt) != l and \
+               mono_lcm(monos[j], mt) != l:
                 del pairs[(i, j)]
         for l in sorted(by_lcm):
             if any(l2 != l and mono_divides(l2, l) for l2 in by_lcm):
                 continue
             members = by_lcm[l]
-            if rank1 and any(mono_coprime(idx.leads[i][1], mt)
-                             for i in members):
+            if rank1 and any(mono_coprime(monos[i], mt) for i in members):
                 continue
             pairs[(members[0], t)] = l
             heapq.heappush(heap, (ctx.mono_key(l), members[0], t))
 
     def add_elem(vec, rep):
-        lead = lead_term(vec, ctx)
+        lead = max(vec)
         ic = ctx.inv(vec[lead])
         idx.add(vec_scale(vec, ic, p), lead)
         reps.append(vec_scale(rep, ic, p))
@@ -118,13 +127,14 @@ def _ref_buchberger(gens, ctx):
 
     for i, g in enumerate(gens):
         if g:
-            add_elem(dict(g), {(i, ctx.zero_mono): 1})
+            add_elem(ctx.pack(g), {-(i << pb): 1})
     while heap:
-        _, i, j = heapq.heappop(heap)
-        l = alive_pairs[idx.leads[i][0]].pop((i, j), None)
-        if l is None:
+        key, i, j = heapq.heappop(heap)
+        pos = pos_of(idx.leads[i])
+        if alive_pairs[pos].pop((i, j), None) is None:
             continue
-        di, dj = mono_sub(l, idx.leads[i][1]), mono_sub(l, idx.leads[j][1])
+        lcm = key - (pos << pb)
+        di, dj = lcm - idx.leads[i], lcm - idx.leads[j]
         u, rep = {}, {}
         vec_axpy(u, 1, di, idx.elems[i], p)
         vec_axpy(u, p - 1, dj, idx.elems[j], p)
@@ -134,14 +144,17 @@ def _ref_buchberger(gens, ctx):
         if h:
             add_elem(h, rep)
 
-    alive = [i for i, (pi, mi) in enumerate(idx.leads)
-             if not any(j != i and mono_divides(idx.leads[j][1], mi)
-                        and (idx.leads[j][1] != mi or j < i)
-                        for j in idx.by_pos[pi])]
-    alive.sort(key=lambda k: ctx.term_key(idx.leads[k]))
+    # minimalization by decoded leads and tuple division
+    leads, monos = idx.leads, idx.lead_monos()
+    alive = [i for i, mi in enumerate(monos)
+             if not any(j != i and mono_divides(monos[j], mi)
+                        and (monos[j] != mi or j < i)
+                        for j in idx.by_pos[pos_of(leads[i])])]
+    alive.sort(key=lambda k: (-pos_of(leads[k]), _tuple_key(ctx.weights,
+                                                            monos[k])))
     final, freps = GIndex(ctx), [reps[i] for i in alive]
     for i in alive:
-        final.add(idx.elems[i], idx.leads[i])
+        final.add(idx.elems[i], leads[i])
     for k, lead in enumerate(final.leads):
         vec = dict(final.elems[k])
         del vec[lead]
@@ -155,35 +168,39 @@ def _ref_buchberger(gens, ctx):
 def _ref_syzygies(gens, ctx):
     """Generators of the syzygies of ``gens``: Schreyer syzygies of the
     reduced basis pulled back through the certificates, plus the columns of
-    I - A*B expressing each generator over the basis."""
-    p = ctx.p
+    I - A*B expressing each generator over the basis. Returned flat."""
+    p, pb = ctx.p, ctx.pb
     G, reps = _ref_buchberger(gens, ctx)
+    flat_reps = [ctx.unpack(r) for r in reps]
+    monos = G.lead_monos()
 
     def collect_into(z, sign):
+        # z is packed with the basis index as its position
         def collect(t, d, c):
-            _axpy(z, sign * c, d, {(t, ctx.zero_mono): 1})
+            vec_axpy(z, sign * c, d, {-(t << pb): 1}, p)
         return collect
 
     zs = []
-    for k, (pk, mk) in enumerate(G.leads):
+    for k, lead in enumerate(G.leads):
+        pk = -(lead >> pb)
         for l in G.by_pos[pk]:
             if l <= k:
                 continue
-            L = mono_lcm(mk, G.leads[l][1])
-            dk, dl = mono_sub(L, mk), mono_sub(L, G.leads[l][1])
+            L = ctx.term_key((pk, mono_lcm(monos[k], monos[l])))
+            dk, dl = L - lead, L - G.leads[l]
             u = {}
             vec_axpy(u, 1, dk, G.elems[k], p)
             vec_axpy(u, p - 1, dl, G.elems[l], p)
-            z = {(k, dk): 1, (l, dl): p - 1}
+            z = {dk - (k << pb): 1, dl - (l << pb): p - 1}
             assert not reduce_full(u, G, ctx, on_reduce=collect_into(z, -1))
-            zs.append(_combine(z, reps))
+            zs.append(_combine(ctx.unpack(z), flat_reps))
     for i, f in enumerate(gens):
         b = {}
         if f:
-            assert not reduce_full(dict(f), G, ctx,
+            assert not reduce_full(ctx.pack(f), G, ctx,
                                    on_reduce=collect_into(b, 1))
         s = {(i, ctx.zero_mono): 1}
-        _axpy(s, -1, ctx.zero_mono, _combine(b, reps))
+        _axpy(s, -1, ctx.zero_mono, _combine(ctx.unpack(b), flat_reps))
         zs.append(s)
     return [z for z in zs if z]
 
@@ -253,18 +270,18 @@ def test_module_groebner_basis_and_syzygies(weights, data):
     ctx = EngineContext(P, weights)
     gens = data.draw(module_gens(len(weights)))
     gbd = buchberger_flat(gens, ctx, Budget())
-    basis, leads = gbd.index.elems, gbd.index.leads
+    basis, leads = gbd.index.flat_elems(), gbd.index.flat_leads()
     nonzero = [g for g in gens if g]
     assert bool(basis) == bool(nonzero)
 
     # the reference computes the same reduced basis, and its certificates
     # put each element inside the submodule
     ref, reps = _ref_buchberger(gens, ctx)
-    assert ref.leads == leads and ref.elems == basis
+    assert ref.leads == gbd.index.leads and ref.elems == gbd.index.elems
     for k, g in enumerate(basis):
         assert leads[k] == _lead(g, weights)
         assert g[leads[k]] == 1
-        assert _combine(reps[k], gens) == g
+        assert _combine(ctx.unpack(reps[k]), gens) == g
         for l, (q, lm) in enumerate(leads):
             if l != k and q == leads[k][0]:
                 assert not _divides(lm, leads[k][1])
@@ -289,17 +306,18 @@ def test_module_groebner_basis_and_syzygies(weights, data):
 
     perm = data.draw(st.permutations(range(len(gens))))
     again = buchberger_flat([gens[i] for i in perm], ctx, Budget()).index
-    assert again.leads == leads and again.elems == basis
+    assert again.flat_leads() == leads and again.flat_elems() == basis
 
     # the elimination kernel is a reduced basis of the syzygy module: each
     # vector maps to zero, and it spans the same module as the reference
     gens = data.draw(graded_module_gens(weights))
-    kernel = syzygies_flat(gens, 5, len(gens), ctx, Budget())
-    assert buchberger_flat(kernel, ctx, Budget()).index.elems == kernel
+    packed = syzygies_flat(gens, 5, len(gens), ctx, Budget())
+    kernel = packed.flat_elems()
+    assert buchberger_flat(kernel, ctx, Budget()).index.elems == packed.elems
     for z in kernel:
         assert _combine(z, gens) == {}
     ref_syz = _ref_syzygies(gens, ctx)
-    ref_basis = buchberger_flat(ref_syz, ctx, Budget()).index.elems
+    ref_basis = buchberger_flat(ref_syz, ctx, Budget()).index.flat_elems()
     for z in ref_syz:
         assert _reduces_to_zero(z, kernel, weights)
     for z in kernel:
@@ -307,8 +325,8 @@ def test_module_groebner_basis_and_syzygies(weights, data):
 
     # with a lead block: the kernel is the lead-block part of the syzygies
     nlead = data.draw(st.integers(1, len(gens)))
-    kernel = syzygies_flat(gens, 5, nlead, ctx, Budget())
-    rest = buchberger_flat(gens[nlead:], ctx, Budget()).index.elems
+    kernel = syzygies_flat(gens, 5, nlead, ctx, Budget()).flat_elems()
+    rest = buchberger_flat(gens[nlead:], ctx, Budget()).index.flat_elems()
     for z in kernel:
         assert {k[0] for k in z} <= set(range(nlead))
         assert _reduces_to_zero(_combine(z, gens), rest, weights)
@@ -327,22 +345,127 @@ def test_seeded_basis_and_kernel_equal_unseeded(weights, data):
     ctx = EngineContext(P, weights)
     h = data.draw(module_gens(len(weights)))
     g = data.draw(module_gens(len(weights)))
-    B = buchberger_flat(h, ctx, Budget()).index.elems
+    B = buchberger_flat(h, ctx, Budget()).index
     seeded = buchberger_flat(g, ctx, Budget(), seed=B).index
-    plain = buchberger_flat(g + B, ctx, Budget()).index
+    plain = buchberger_flat(g + B.flat_elems(), ctx, Budget()).index
     assert seeded.leads == plain.leads and seeded.elems == plain.elems
     again = buchberger_flat(g + h, ctx, Budget()).index
     assert again.leads == plain.leads and again.elems == plain.elems
     alone = buchberger_flat([], ctx, Budget(), seed=B).index
-    assert alone.elems == B
+    assert alone.elems == B.elems
 
     # a kernel whose rest is partly given as a seed basis
     gens = data.draw(graded_module_gens(weights))
     nlead = data.draw(st.integers(1, len(gens)))
     cut = data.draw(st.integers(nlead, len(gens)))
-    rest = buchberger_flat(gens[cut:], ctx, Budget()).index.elems
+    rest = buchberger_flat(gens[cut:], ctx, Budget()).index
     seeded = syzygies_flat(gens[:cut], 5, nlead, ctx, Budget(), seed=rest)
-    assert seeded == syzygies_flat(gens, 5, nlead, ctx, Budget())
+    unseeded = syzygies_flat(gens, 5, nlead, ctx, Budget())
+    assert seeded.leads == unseeded.leads and seeded.elems == unseeded.elems
+
+
+# ---------------------------------------------------------------------------
+# the packed term encoding, against tuple keys and componentwise division
+
+def _wdeg(weights, m):
+    return sum(w * e for w, e in zip(weights, m))
+
+
+@st.composite
+def packable_terms(draw, weights):
+    """A term below the degree ceiling: small exponents, now and then one
+    raised to within a few steps of the largest that still packs."""
+    m = list(draw(st.tuples(*[st.integers(0, 4)] * len(weights))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(weights) - 1))
+        room = (DEGREE_LIMIT - 1 - _wdeg(weights, m)
+                + weights[i] * m[i]) // weights[i]
+        m[i] = draw(st.integers(max(room - 3, 0), room))
+    return draw(st.integers(0, 4)), tuple(m)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 4, 5), (2, 3)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packing_matches_tuple_order_and_division(weights, data):
+    ctx = EngineContext(P, weights)
+    s = data.draw(packable_terms(weights))
+    t = data.draw(packable_terms(weights))
+    if data.draw(st.booleans()):
+        # a multiple of s, so that division holds in about half the cases
+        extra = data.draw(st.tuples(*[st.integers(0, 3)] * len(weights)))
+        m = tuple(a + b for a, b in zip(s[1], extra))
+        if _wdeg(weights, m) < DEGREE_LIMIT:
+            t = (s[0], m)
+    ks, kt = ctx.term_key(s), ctx.term_key(t)
+
+    # int order is position-over-term weighted grevlex, positions included
+    def key(term):
+        return (-term[0], _tuple_key(weights, term[1]))
+    assert (ks < kt) == (key(s) < key(t))
+    assert (ks == kt) == (s == t)
+
+    # decoding inverts packing, and the degree reads off the key
+    assert ctx.unpack({ks: 1, kt: 2}) == {s: 1, t: 2}
+    assert ctx.wdeg(s[1]) == _wdeg(weights, s[1])
+
+    # k is linear below the ceiling, and refuses to pack past it
+    mn = tuple(a + b for a, b in zip(s[1], t[1]))
+    if _wdeg(weights, mn) < DEGREE_LIMIT:
+        assert ctx.mono_key(mn) == ctx.mono_key(s[1]) + ctx.mono_key(t[1])
+    else:
+        with pytest.raises(BudgetExceededError, match="packed_degree"):
+            ctx.mono_key(mn)
+
+    # the guard-bit divisor test of reduce_full: a monic monomial lead
+    # reduces a term to zero iff it divides it at the same position
+    G = GIndex(ctx)
+    G.add({ks: 1}, ks)
+    divides = s[0] == t[0] and _divides(s[1], t[1])
+    assert (reduce_full({kt: 1}, G, ctx) == {}) == divides
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 4, 5), (2, 3)])
+def test_packing_at_the_degree_ceiling(weights):
+    # the largest exponent that packs fills its field below the guard bit
+    # at unit weight; one more passes the ceiling
+    ctx = EngineContext(P, weights)
+    for i, w in enumerate(weights):
+        def power(e):
+            return tuple(e if j == i else 0 for j in range(len(weights)))
+        top = power((DEGREE_LIMIT - 1) // w)
+        k = ctx.term_key((3, top))
+        assert ctx.unpack({k: 1}) == {(3, top): 1}
+        assert ctx.wdeg(top) == _wdeg(weights, top) < DEGREE_LIMIT
+        with pytest.raises(BudgetExceededError, match="packed_degree"):
+            ctx.mono_key(power((DEGREE_LIMIT - 1) // w + 1))
+
+
+def test_reduction_past_the_degree_ceiling_raises():
+    # x*e0 + y^20000*e1 is graded (row shifts 19999 and 0); reducing
+    # x^20000*e0 by it makes x^19999*y^20000*e1, past the ceiling
+    ctx = EngineContext(P, (1, 1))
+    gb = buchberger_flat([{(0, (1, 0)): 1, (1, (0, 20000)): 1}], ctx,
+                         Budget())
+    with pytest.raises(BudgetExceededError, match="packed_degree"):
+        reduce_full(ctx.pack({(0, (20000, 0)): 1}), gb.index, ctx)
+    # below the ceiling the same step succeeds
+    out = reduce_full(ctx.pack({(0, (10000, 0)): 1}), gb.index, ctx)
+    assert ctx.unpack(out) == {(1, (9999, 20000)): P - 1}
+
+
+def test_library_calls_past_the_degree_ceiling_raise():
+    from frobcheck import RingModel, module_groebner, normal_form
+    R = RingModel(5, ["x", "y"])
+    x, y = R.variable(0), R.variable(1)
+    # packing the input: x^40000 has weighted degree 40000
+    with pytest.raises(BudgetExceededError, match="packed_degree"):
+        normal_form(x ** 40000, R.ideal_groebner())
+    # a reduction step: the column (x, y^20000) turns x^20000 e0 into
+    # -x^19999 y^20000 e1
+    gb = module_groebner([[x, y ** 20000]], 2, R)
+    with pytest.raises(BudgetExceededError, match="packed_degree"):
+        gb.reduce_flat({(0, (20000, 0)): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from frobcheck import (ArgumentError, INFINITE, Polynomial, PresentedModule,
                        module_groebner, module_length, residue_field,
                        ring_as_module, syzygies, tor)
 from frobcheck import module_engine
-from frobcheck._engine import vec_axpy, vec_scale
+from frobcheck._engine import vec_scale
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.criteria import pd_is_finite
@@ -99,8 +99,8 @@ def test_module_groebner_basis_is_reduced(node, B):
                        (B, [[P(B, "x"), P(B, "z")],
                             [P(B, "y"), P(B, "-x")]])):
         gb = module_groebner(gens, 2, ring)
-        leads = gb.index.leads
-        for k, vec in enumerate(gb.index.elems):
+        leads = gb.leads
+        for k, vec in enumerate(gb.index.flat_elems()):
             assert vec[leads[k]] == 1   # monic
             for pos, m in vec:
                 for j, (pj, mj) in enumerate(leads):
@@ -708,9 +708,10 @@ def _disguised(M, like, ops, scales, flip):
     cols += [{(r + t, zero): 1} for t in range(len(like))]
     for i, j, c in ops:
         for col in cols:
-            vec_axpy(col, c, zero,
-                     {(i, m): a for (pos, m), a in col.items() if pos == j},
-                     ring.p)
+            module_engine.col_axpy(
+                col, c, zero,
+                {(i, m): a for (pos, m), a in col.items() if pos == j},
+                ring.p)
     cols = [vec_scale(col, scales[k % len(scales)], ring.p)
             for k, col in enumerate(cols)]
     return PresentedModule(ring, r + len(like), cols[::-1] if flip else cols)
