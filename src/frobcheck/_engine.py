@@ -202,6 +202,13 @@ class GIndex:
         self.by_pos.setdefault(-(lead >> self.ctx.pb), []).append(idx)
         return idx
 
+    def copy(self) -> "GIndex":
+        out = GIndex(self.ctx)
+        out.elems, out.leads = list(self.elems), list(self.leads)
+        out.exps, out._monos = list(self.exps), list(self.lead_monos())
+        out.by_pos = {pos: list(ids) for pos, ids in self.by_pos.items()}
+        return out
+
     def lead_monos(self) -> List[Mono]:
         """The lead monomials, decoded."""
         monos = self._monos
@@ -232,7 +239,8 @@ def reduce_full(vec: PackedVec, G: GIndex, ctx: EngineContext,
     subtracts c * x^delta * G.elems[gi], delta = t - L, and reports it as
     on_reduce(gi, delta, c) to an observer that counts or records steps.
     Terms moved to the output are irreducible and, in a multiplicative
-    order, strictly decreasing, so the loop terminates.
+    order, strictly decreasing, so the loop terminates. A picked term past
+    the degree ceiling raises ``BudgetExceededError``.
     """
     p, pb, mask, guard = ctx.p, ctx.pb, ctx.mask, ctx.guard
     top, ceiling = ctx.top, ctx.ceiling
@@ -298,7 +306,8 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     """
     p, pb, mask, guard, shift = ctx.p, ctx.pb, ctx.mask, ctx.guard, ctx.shift
     packed = [ctx.pack(g) for g in gens]
-    idx = GIndex(ctx)
+    # seed vectors enter the index first
+    idx = GIndex(ctx) if seed is None else seed.copy()
     monos = idx._monos
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
@@ -335,14 +344,10 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
         if c != 1:
             vec = vec_scale(vec, ctx.inv(c), p)
         idx.add(vec, lead)
-        idx.lead_monos()
+        monos.append(ctx.mono_of(lead & ctx.top))
         budget.check_basis(len(idx.elems))
         gm_update(len(idx.elems) - 1)
 
-    if seed is not None:
-        for vec, lead in zip(seed.elems, seed.leads):
-            idx.add(vec, lead)
-        monos.extend(seed.lead_monos())
     budget.check_basis(len(idx.elems))
     for g in packed:
         if g:
