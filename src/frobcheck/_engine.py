@@ -311,7 +311,7 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     monos = idx._monos
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
-    rank1 = _is_rank1(packed) and (seed is None or _is_rank1(seed.elems))
+    rank1 = _is_rank1(packed) and _is_rank1(idx.elems)
     spairs = 0
 
     def gm_update(t: int) -> None:
