@@ -304,7 +304,7 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     vector and any other element form as usual. The output equals that of
     ``gens + seed`` unseeded, since the reduced basis is unique.
     """
-    p, pb, mask, guard, shift = ctx.p, ctx.pb, ctx.mask, ctx.guard, ctx.shift
+    p, pb, guard = ctx.p, ctx.pb, ctx.guard
     packed = [ctx.pack(g) for g in gens]
     # seed vectors enter the index first
     idx = GIndex(ctx) if seed is None else seed.copy()
@@ -360,7 +360,6 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
             continue
         spairs += 1
         budget.check_spairs(spairs)
-        budget.check_degree((key + mask) >> shift)
         lcm = key - (pos << pb)
         u: PackedVec = {}
         vec_axpy(u, 1, lcm - idx.leads[i], idx.elems[i], p)

@@ -512,13 +512,10 @@ def colength_and_standard_monomials(gb: GroebnerBasis):
     leads = gb.leads_by_position()[0]
     if any(not any(m) for m in leads):
         return 0, []
-    bounds = []
-    for i in range(len(gb.ring.variables)):
-        powers = [m[i] for m in leads
-                  if sum(map(bool, m)) == 1 and m[i] > 0]
-        if not powers:
-            return INFINITE, None
-        bounds.append(min(powers))
+    bounds = [min((m[i] for m in leads if m[i] == sum(m)), default=0)
+              for i in range(len(gb.ring.variables))]
+    if not all(bounds):
+        return INFINITE, None
     basis = [e for e in product(*(range(b) for b in bounds))
              if not any(_engine.mono_divides(m, e) for m in leads)]
     return len(basis), sorted(basis, key=gb.ring.ctx.mono_key)

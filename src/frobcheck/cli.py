@@ -324,6 +324,17 @@ def parse_model(data) -> ModelFile:
     return ModelFile(ring, modules, sops, canonical, digest)
 
 
+def _rendered_rows(M: PresentedModule) -> List[List[str]]:
+    """Rendered entries row by row, read from the sparse columns."""
+    ring = M.ring
+    grid: List[Dict[int, dict]] = [{} for _ in range(M.ambient_rank)]
+    for j, col in enumerate(M.columns):
+        for (i, m), c in col.items():
+            grid[i].setdefault(j, {})[m] = c
+    return [[ring.render_poly(Polynomial(ring, row[j])) if j in row else "0"
+             for j in range(len(M.columns))] for row in grid]
+
+
 def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
                       sops: Dict[str, Tuple[Polynomial, ...]]) -> str:
     """Canonical JSON text of a model; parse(render(m)) == m."""
@@ -343,8 +354,7 @@ def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
         "modules": {
             name: {
                 "ambient_rank": m.ambient_rank,
-                "relations": [[ring.render_poly(e) for e in row]
-                              for row in m.rows()],
+                "relations": _rendered_rows(m),
             }
             for name, m in sorted(modules.items())
         },
@@ -364,10 +374,8 @@ def render_model(mf: ModelFile) -> str:
 _ENV_FIELDS = {
     "FROBCHECK_MAX_SPAIRS": "max_spairs",
     "FROBCHECK_MAX_BASIS": "max_basis",
-    "FROBCHECK_MAX_DEGREE": "max_degree",
     "FROBCHECK_MAX_PUSHFORWARD_GENS": "max_pushforward_generators",
     "FROBCHECK_MAX_MINORS": "max_minors",
-    "FROBCHECK_MAX_KAPPA_STEPS": "max_kappa_steps",
 }
 
 
@@ -407,11 +415,7 @@ def _kappa_bound(mf: ModelFile, budget: Budget) -> Tuple[int, Dict[str, int]]:
 
 
 def _matrix_lines(M: PresentedModule, indent: str) -> List[str]:
-    ring = M.ring
-    lines = []
-    for row in M.rows():
-        lines.append(indent + "[" + ", ".join(ring.render_poly(e)
-                                              for e in row) + "]")
+    lines = [indent + "[" + ", ".join(row) + "]" for row in _rendered_rows(M)]
     if not M.columns:
         lines.append(indent + "(no relations)")
     return lines

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Tuple
 
-from .algebra_kernel import (Polynomial, RingModel, buchberger,
-                             krull_dimension, normal_form)
+from .algebra_kernel import Polynomial, RingModel, normal_form
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
+from .invariants import sop_basis
 from .module_engine import (FreeComplex, Matrix, PresentedModule,
                             minimal_free_resolution, minimalize,
                             module_length, tor)
@@ -193,21 +193,24 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
 
     Found by ideal membership of each variable's p^t-th power; the value is
     an upper bound for kappa(R) since kappa is an infimum over all systems
-    of parameters. The basis of I + (x) that decides membership also
-    certifies the s.o.p.: dim R elements with dim R/(x) = 0.
+    of parameters. J = I + (x) is graded and m-primary, so each x_j has a
+    least pure power x_j^(b_j) among the leads of GB(J) and S/J vanishes
+    past the weighted degree top = sum_j w_j (b_j - 1). Powers of degree
+    above top lie in J untested, so the scan ends by the first t with
+    p^t * min(w) > top.
     """
-    gens = list(ring.ideal_gens) + [e for e in x if not e.is_zero()]
-    gb = buchberger(gens, ring, budget) if len(x) == ring.dim(budget) else None
-    if gb is None or krull_dimension(gb) != 0:
+    gb = sop_basis(x, ring, budget)
+    if gb is None:
         raise PreconditionError("sequence is not a system of parameters")
+    leads = gb.leads_by_position()[0]
+    top = sum(w * (min(m[j] for m in leads if m[j] == sum(m)) - 1)
+              for j, w in enumerate(ring.weights))
     t = 0
-    while True:
-        budget.check_kappa(t)
-        q = ring.p ** t
-        if all(normal_form(ring.variable(i).frobenius_power(q), gb).is_zero()
-               for i in range(len(ring.variables))):
-            return t
+    while not all(ring.p ** t * w > top or normal_form(
+            ring.variable(i).frobenius_power(ring.p ** t), gb).is_zero()
+            for i, w in enumerate(ring.weights)):
         t += 1
+    return t
 
 
 def kappa_upper_bound(ring: RingModel,

@@ -17,8 +17,8 @@ from itertools import combinations
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra_kernel import (INFINITE, Polynomial, RingModel, buchberger,
-                             krull_dimension)
+from .algebra_kernel import (INFINITE, GroebnerBasis, Polynomial, RingModel,
+                             buchberger, krull_dimension)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
@@ -142,13 +142,20 @@ def is_regular_sequence(x: Sequence[Polynomial], M: PresentedModule,
                for i in range(1, len(x) + 1))
 
 
+def sop_basis(x: Sequence[Polynomial], ring: RingModel,
+              budget: Budget = DEFAULT_BUDGET) -> Optional[GroebnerBasis]:
+    """Groebner basis of I + (x) if x is a system of parameters for R, else
+    None: dim R quasi-homogeneous elements of m with dim R/(x) = 0."""
+    if len(x) != ring.dim(budget) or not all(
+            e.in_maximal_ideal() and e.is_quasi_homogeneous() for e in x):
+        return None
+    gb = buchberger(list(ring.ideal_gens) + list(x), ring, budget)
+    return gb if krull_dimension(gb) == 0 else None
+
+
 def is_sop(x: Sequence[Polynomial], ring: RingModel,
            budget: Budget = DEFAULT_BUDGET) -> bool:
-    """System of parameters for R: dim R elements with dim R/(x) = 0."""
-    if len(x) != ring.dim(budget):
-        return False
-    gens = list(ring.ideal_gens) + [e for e in x if not e.is_zero()]
-    return krull_dimension(buchberger(gens, ring, budget)) == 0
+    return sop_basis(x, ring, budget) is not None
 
 
 def quotient_by_sequence(M: PresentedModule, x: Sequence[Polynomial]

@@ -60,6 +60,5 @@ def corpus(model_a, model_b, model_c, model_d, model_e):
 
 @pytest.fixture(scope="session")
 def big_budget():
-    # ring C needs q^v = 125 pushforward generators and, at n = 2 with
-    # weights (3,4,5), matrix entries of weighted degree past 200
-    return Budget(max_pushforward_generators=256, max_degree=800)
+    # ring C needs q^v = 125 pushforward generators
+    return Budget(max_pushforward_generators=256)

@@ -2,13 +2,17 @@
 exit codes."""
 
 import json
+import os
+import re
 
 import pytest
 
-from frobcheck import ModelError, RingModel
-from frobcheck.cli import (budget_from_env, parse_model, parse_polynomial,
-                           render_model, run)
+from frobcheck import DEFAULT_BUDGET, ModelError, RingModel
+from frobcheck.cli import (_ENV_FIELDS, budget_from_env, parse_model,
+                           parse_polynomial, render_model, run)
 from conftest import model_path
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def P(ring, s):
@@ -184,10 +188,9 @@ def test_run_budget_exit_three(capsys, monkeypatch):
                  "functor"]),
 ])
 def test_run_past_packed_degree_ceiling_exit_three(entry, argv, tmp_path,
-                                                   capsys, monkeypatch):
+                                                   capsys):
     # the packed term encoding holds weighted degrees up to 32767, and no
-    # budget setting lifts that
-    monkeypatch.setenv("FROBCHECK_MAX_DEGREE", "1000000")
+    # setting lifts that
     model = tmp_path / "high.json"
     model.write_text(json.dumps({
         "p": 2, "variables": ["x", "y"],
@@ -207,6 +210,34 @@ def test_budget_env_parsing(monkeypatch):
     monkeypatch.setenv("FROBCHECK_MAX_SPAIRS", "junk")
     with pytest.raises(ModelError):
         budget_from_env()
+
+
+def test_budget_env_ignores_removed_variables():
+    # older scripts still set these; the limits they named are gone
+    assert budget_from_env({"FROBCHECK_MAX_DEGREE": "5",
+                            "FROBCHECK_MAX_KAPPA_STEPS": "0"}) \
+        == DEFAULT_BUDGET
+
+
+def test_readme_budget_variables_match_cli():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Budgets\n", 1)[1]
+    block = section.split("```", 2)[1]
+    assert set(re.findall(r"FROBCHECK_\w+", block)) == set(_ENV_FIELDS)
+
+
+def test_run_info_high_degree_sop(tmp_path, capsys):
+    # x^(5^6) is tested against x^20000; x^(5^7) is past the degree where
+    # F_5[x]/(x^20000) vanishes, so it is never packed
+    model = tmp_path / "high.json"
+    model.write_text(json.dumps({"p": 5, "variables": ["x"],
+                                 "sops": {"high": ["x^20000"]}}))
+    code = run(["info", str(model)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "    high: 7\n" in out
+    assert "kappa_upper_bound_overall: 0" in out
+    assert "sops: high" in out
 
 
 def test_run_deterministic_bytes(capsys):

@@ -1,17 +1,20 @@
 """Frobenius functor, pushforward presentation, cross-oracle Tor, kappa."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcheck import (ArgumentError, PresentedModule, PreconditionError,
-                       bracket_power, buchberger,
+from frobcheck import (ArgumentError, Polynomial, PresentedModule,
+                       PreconditionError, RingModel, bracket_power, buchberger,
                        colength_and_standard_monomials, frobenius_complex,
-                       frobenius_module, kappa_for_sop, kappa_upper_bound,
-                       minimal_free_resolution, minimalize, module_length,
-                       normal_form, pushforward_presentation, residue_field,
-                       tor_frobenius)
+                       frobenius_module, is_sop, kappa_for_sop,
+                       kappa_upper_bound, minimal_free_resolution, minimalize,
+                       module_length, normal_form, pushforward_presentation,
+                       residue_field, tor_frobenius)
+from frobcheck._engine import DEGREE_LIMIT
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial
 from frobcheck.errors import BudgetExceededError
+from conftest import load_model, monomials_of_degree
 
 
 def P(ring, s):
@@ -207,6 +210,77 @@ def test_kappa_rejects_non_sop(model_b):
     B = model_b.ring
     with pytest.raises(PreconditionError):
         kappa_for_sop(B, [P(B, "y")])
+
+
+@pytest.mark.parametrize("p, power, kappa", [
+    # 5^6 = 15625 < 20000 < 5^7; the scan stops without packing x^(5^7)
+    (5, 20000, 7),
+    # 2^8 = 256 < 300 < 2^9
+    (2, 300, 9),
+])
+def test_kappa_high_degree_sop(p, power, kappa):
+    R = RingModel(p, ["x"])
+    assert kappa_for_sop(R, [R.variable(0) ** power]) == kappa
+
+
+@pytest.mark.parametrize("text", ["x-1", "x+x^2"])
+def test_kappa_rejects_unit_and_inhomogeneous(text):
+    R = RingModel(3, ["x"])
+    with pytest.raises(PreconditionError):
+        kappa_for_sop(R, [P(R, text)])
+
+
+def _reference_kappa(ring, x):
+    """The scan without a degree bound: test every variable's p^t-th power
+    for t = 0, 1, ... until all lie in I + (x) or the powers would pass the
+    packed ceiling."""
+    gb = buchberger(list(ring.ideal_gens) + list(x), ring)
+    t = 0
+    while ring.p ** t * max(ring.weights) < DEGREE_LIMIT:
+        q = ring.p ** t
+        if all(normal_form(ring.variable(i).frobenius_power(q), gb).is_zero()
+               for i in range(len(ring.variables))):
+            return t
+        t += 1
+    raise AssertionError("reference scan reached the packed ceiling")
+
+
+_KAPPA_RINGS = [load_model(f"{k}.json").ring for k in "abcde"] + [
+    RingModel(2, ["x", "y"], weights=(1, 2)),
+    RingModel(3, ["x", "y", "z"], weights=(1, 1, 2)),
+    RingModel(5, ["x"], weights=(2,)),
+]
+
+
+@st.composite
+def _graded_elements(draw, ring, var):
+    """A quasi-homogeneous element of positive degree: a power of variable
+    ``var`` plus up to four monomials of its weighted degree, nonzero
+    coefficients (a repeated monomial keeps its last one)."""
+    lead = [0] * len(ring.variables)
+    lead[var] = draw(st.integers(1, 4))
+    deg = lead[var] * ring.weights[var]
+    others = draw(st.lists(st.sampled_from(monomials_of_degree(ring, deg)),
+                           max_size=4))
+    return Polynomial.from_terms(ring, {
+        m: draw(st.integers(1, ring.p - 1)) for m in [tuple(lead)] + others})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kappa_matches_unbounded_scan(data):
+    # element k leads with a power of variable start + k, so most draws are
+    # an s.o.p.; the rest must be refused
+    ring = data.draw(st.sampled_from(_KAPPA_RINGS))
+    v = len(ring.variables)
+    start = data.draw(st.integers(0, v - 1))
+    x = [data.draw(_graded_elements(ring, (start + k) % v))
+         for k in range(ring.dim())]
+    if is_sop(x, ring):
+        assert kappa_for_sop(ring, x) == _reference_kappa(ring, x)
+    else:
+        with pytest.raises(PreconditionError):
+            kappa_for_sop(ring, x)
 
 
 def test_kappa_upper_bound_minimum(model_b):

@@ -6,8 +6,8 @@ skipped, since it holds the checkout path. After a deliberate output
 change, regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 
 The two high-power functor reports pin lengths of large Artinian
-quotients (B at n = 5 reaches weighted degree 243, so it runs with the
-benchmark's degree budget).
+quotients. B at n = 5 reaches weighted degree 243, and every report runs
+at the CLI's default budget, with no environment settings.
 """
 
 import os
@@ -44,11 +44,6 @@ COMMANDS = {
     "tor_c_k_n2_i3_functor": "tor {c} -m k -n 2 -i 3 --method functor",
 }
 
-# Budget overrides, read by the CLI from the environment, per report.
-ENV = {
-    "tor_b_k_n5_i3_functor": {"FROBCHECK_MAX_DEGREE": "2000"},
-}
-
 
 def _argv(command, models=MODELS):
     paths = {k: os.path.join(models, f"{k}.json") for k in "abcde"}
@@ -61,9 +56,7 @@ def _payload(text):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_report(name, capsys, monkeypatch):
-    for var, value in ENV.get(name, {}).items():
-        monkeypatch.setenv(var, value)
+def test_golden_report(name, capsys):
     code = run(_argv(COMMANDS[name]))
     out = capsys.readouterr().out
     with open(os.path.join(GOLDEN, f"{name}.txt"), encoding="utf-8") as fh:
@@ -75,11 +68,9 @@ def test_golden_report(name, capsys, monkeypatch):
 if __name__ == "__main__":
     import contextlib
     import io
-    from unittest import mock
     for name, command in sorted(COMMANDS.items()):
         buf = io.StringIO()
-        with mock.patch.dict(os.environ, ENV.get(name, {})), \
-                contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf):
             code = run(_argv(command))
         if code != 0:
             sys.exit(f"{name}: exit {code}")

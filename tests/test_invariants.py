@@ -174,6 +174,15 @@ def test_sop_requires_full_length(model_b):
     assert is_sop([P(B, "y+z"), P(B, "x")], B)
 
 
+def test_sop_rejects_units_and_inhomogeneous():
+    # x - 1 generates the unit ideal locally; the graded model refuses it
+    # rather than read dim R/(x - 1) = 0 off the global quotient
+    R = RingModel(3, ["x"])
+    assert is_sop([P(R, "x")], R)
+    assert not is_sop([P(R, "x-1")], R)
+    assert not is_sop([P(R, "x+x^2")], R)
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristics
 
