@@ -282,7 +282,9 @@ def _is_rank1(vecs: Sequence[PackedVec]) -> bool:
 
 
 def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
-                    budget: Budget, seed: Optional[GIndex] = None) -> GBData:
+                    budget: Budget, seed: Optional[GIndex] = None,
+                    cap: Optional[Tuple[Sequence[int], int]] = None
+                    ) -> GBData:
     """Reduced Groebner basis of the submodule generated by ``gens`` and
     ``seed``.
 
@@ -303,8 +305,21 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     between two of them (each reduces to zero), and pairs between a seed
     vector and any other element form as usual. The output equals that of
     ``gens + seed`` unseeded, since the reduced basis is unique.
+
+    ``cap = (shifts, D)`` stops a homogeneous run at degree D: position pos
+    has degree shift ``shifts[pos]``, which must make every generator and
+    seed vector homogeneous, and a pair whose degree shifts[pos] +
+    wdeg(lcm) exceeds D is dropped before it is queued or counted. An
+    element of degree at most D never needs a pair, reducer or chain
+    criterion of higher degree, so the result's elements of degree at most
+    D are exactly those of the full reduced basis, in the same order
+    (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.5). Any
+    element above D that it holds is part of no basis.
     """
     p, pb, guard = ctx.p, ctx.pb, ctx.guard
+    weights = ctx.weights
+    # the highest lcm degree processed at each position
+    lim = None if cap is None else [cap[1] - s for s in cap[0]]
     packed = [ctx.pack(g) for g in gens]
     # seed vectors enter the index first
     idx = GIndex(ctx) if seed is None else seed.copy()
@@ -319,6 +334,10 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
         by_lcm: Dict[Mono, List[int]] = {}
         for i in idx.by_pos[pt][:-1]:
             by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
+        if lim is not None:
+            # a pair above the cap can neither feed nor cancel one below it
+            by_lcm = {l: ids for l, ids in by_lcm.items()
+                      if sum(map(mul, weights, l)) <= lim[pt]}
         # chain filter: drop old pairs strictly covered through the new lead
         pairs = alive_pairs.setdefault(pt, {})
         for (i, j), l in list(pairs.items()):
@@ -404,7 +423,8 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
 
 def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
                   ctx: EngineContext, budget: Budget,
-                  seed: Optional[GIndex] = None) -> GIndex:
+                  seed: Optional[GIndex] = None,
+                  cap: Optional[Tuple[Sequence[int], int]] = None) -> GIndex:
     """Vectors a in S^nlead with sum a_j gens[j] in the span of the rest.
 
     ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block,
@@ -424,10 +444,16 @@ def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
     computation stay homogeneous; on other input the reduced kernel basis
     can be far larger than any generating set. The module layer rejects
     such matrices before they get here (``module_engine._require_graded``).
+
+    ``cap = (shifts, D)`` is passed on to ``buchberger_flat``: ``shifts``
+    covers the rank positions and then the lead block, where position
+    rank + j takes the degree of g_j. The result is then the part of degree
+    at most D of the kernel basis, which need not generate the kernel.
     """
     ext = [{**g, (rank + j, ctx.zero_mono): 1}
            for j, g in enumerate(gens[:nlead])]
-    G = buchberger_flat(ext + list(gens[nlead:]), ctx, budget, seed).index
+    G = buchberger_flat(ext + list(gens[nlead:]), ctx, budget, seed,
+                        cap).index
     down = rank << ctx.pb
     kernel = GIndex(ctx)
     for vec, lead in zip(G.elems, G.leads):

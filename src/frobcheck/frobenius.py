@@ -12,6 +12,7 @@ agree, which tor_frobenius can enforce in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Tuple
@@ -197,18 +198,31 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
     least pure power x_j^(b_j) among the leads of GB(J) and S/J vanishes
     past the weighted degree top = sum_j w_j (b_j - 1). Powers of degree
     above top lie in J untested, so the scan ends by the first t with
-    p^t * min(w) > top.
+    p^t * min(w) > top. When x_j^(b_j) is itself an element of GB(J), every
+    power x_j^N with N >= b_j lies in J too, and is taken as in J without
+    being packed, however far past the degree ceiling it lies.
     """
     gb = sop_basis(x, ring, budget)
     if gb is None:
         raise PreconditionError("sequence is not a system of parameters")
-    leads = gb.leads_by_position()[0]
-    top = sum(w * (min(m[j] for m in leads if m[j] == sum(m)) - 1)
-              for j, w in enumerate(ring.weights))
+    v = len(ring.weights)
+    least = [0] * v            # b_j
+    whole = [math.inf] * v     # b_j where x_j^(b_j) is a whole element
+    for vec, m in zip(gb.index.elems, gb.index.lead_monos()):
+        if v - m.count(0) == 1:
+            j = next(k for k, e in enumerate(m) if e)
+            least[j] = m[j]
+            if len(vec) == 1:
+                whole[j] = m[j]
+    top = sum(w * (b - 1) for w, b in zip(ring.weights, least))
+
+    def in_J(i: int, q: int) -> bool:
+        return (q * ring.weights[i] > top or whole[i] <= q
+                or normal_form(ring.variable(i).frobenius_power(q),
+                               gb).is_zero())
+
     t = 0
-    while not all(ring.p ** t * w > top or normal_form(
-            ring.variable(i).frobenius_power(ring.p ** t), gb).is_zero()
-            for i, w in enumerate(ring.weights)):
+    while not all(in_J(i, ring.p ** t) for i in range(v)):
         t += 1
     return t
 

@@ -25,7 +25,8 @@ surfaces as unit entries in the kernel of the next differential; those are
 cancelled by a change of basis that deletes one source generator of the
 previous step (exactness is preserved because the cancelled pair splits off
 a trivial exact summand). The last recorded differential is pruned the same
-way, so its rank is a Betti number too.
+way, so its rank is a Betti number too; its kernel is computed only up to
+the top degree of its generators, as far as a unit entry can lie.
 """
 
 from __future__ import annotations
@@ -95,15 +96,19 @@ def _flat(ring: RingModel, vec: Sequence[Polynomial]) -> FlatVec:
     return out
 
 
-def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
-    """Reject a matrix that no system of degree shifts makes graded.
+def _require_graded(ring: RingModel, cols: Matrix, nrows: int
+                    ) -> List[int]:
+    """Row degree shifts that make a matrix graded; reject a matrix that
+    has none.
 
     Graded means row shifts s_i exist with wdeg(m) + s_i constant over the
-    terms (i, m) of each column. Kernels by elimination
-    (``_engine.syzygies_flat``) stay homogeneous on graded matrices; on
-    others their reduced bases can grow without bound, and unit entries
-    are no longer exact (``_minimalize_columns``). Shifts are solved by a
-    union-find over rows: ``off[i]`` is s_i minus the shift of its parent.
+    terms (i, m) of each column; that constant is the column's degree.
+    Kernels by elimination (``_engine.syzygies_flat``) stay homogeneous on
+    graded matrices; on others their reduced bases can grow without bound,
+    and unit entries are no longer exact (``_minimalize_columns``). Shifts
+    are solved by a union-find over rows: ``off[i]`` is s_i minus the shift
+    of its parent. Rows linked through columns form a component, solved up
+    to a constant; its root gets shift 0.
     """
     wdeg = ring.ctx.wdeg
     parent = list(range(nrows))
@@ -130,6 +135,7 @@ def _require_graded(ring: RingModel, cols: Matrix, nrows: int) -> None:
                 raise ArgumentError(
                     f"entry at row {i + 1}, column {j + 1} breaks the "
                     "graded structure (no consistent degree shifts exist)")
+    return [find(i)[1] for i in range(nrows)]
 
 
 def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> GIndex:
@@ -294,7 +300,8 @@ def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 
 
 def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
-                    target: "PresentedModule", budget: Budget
+                    target: "PresentedModule", budget: Budget,
+                    units_only: bool = False
                     ) -> Tuple[Matrix, GroebnerBasis]:
     """Vectors v with (lead_cols)v in the R-span of rest_cols and the
     relations of ``target``, a module presented in R^rank.
@@ -310,14 +317,29 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
     not be minimal), and that basis itself: K contains I S^nlead, so it is
     the relation basis of R^nlead modulo the returned columns.
     [lead | rest | target relations] must be graded.
+
+    With ``units_only`` the call only serves to find unit entries. A
+    homogeneous kernel vector with a unit at lead position j has the degree
+    of lead column j, so the Buchberger run stops at D, the top degree of
+    the (nonzero) lead columns. The result is then the part of degree at
+    most D of the kernel basis: it holds every basis vector with a unit
+    entry, but need not generate the kernel, and neither does the returned
+    basis.
     """
     rank = target.ambient_rank
-    _require_graded(ring, list(lead_cols) + list(rest_cols)
-                    + list(target.columns), rank)
+    shifts = _require_graded(ring, list(lead_cols) + list(rest_cols)
+                             + list(target.columns), rank)
+    cap = None
+    if units_only:
+        wdeg = ring.ctx.wdeg
+        degs = [shifts[i] + wdeg(m)
+                for i, m in (next(iter(col)) for col in lead_cols)]
+        cap = shifts + degs, max(degs)
     seed = target.relations_groebner(budget).index \
         if target.columns else _ideal_padding(ring, rank, budget)
     kernel = _engine.syzygies_flat(list(lead_cols) + list(rest_cols), rank,
-                                   len(lead_cols), ring.ctx, budget, seed)
+                                   len(lead_cols), ring.ctx, budget, seed,
+                                   cap)
     out: Matrix = []
     for z in kernel.flat_elems():
         col = _nf(ring, z, budget)
@@ -615,38 +637,45 @@ def minimal_free_resolution(M: PresentedModule, length: int,
     """Minimal free resolution of M out to homological degree ``length``.
 
     Obtained by iterated kernels with unit cancellation: the kernel of
-    every recorded differential, the last one included, is computed, and
-    its unit entries cancel redundant columns of that differential. So
-    every differential has all entries in the maximal ideal and the
-    recorded ranks are the Betti numbers. The pruned kernel of the last
-    differential is cached with the resolution, and a longer request
-    resumes from it. If a kernel is zero the resolution stops early (finite
-    projective dimension); callers read rank(i) = 0 beyond the recorded
-    length.
+    each generator set is computed, and its unit entries cancel redundant
+    columns of that set, which then becomes the differential. So every
+    differential has all entries in the maximal ideal and the recorded
+    ranks are the Betti numbers. The last step needs only the units of its
+    kernel, so that kernel is computed only up to the top degree of the
+    last generators (``_kernel_columns`` with ``units_only``) and is not
+    kept. The cache holds the resolution and the generators of the first
+    step not computed in full, so a longer request redoes a truncated last
+    step in full and goes on as a fresh resolution would. If a kernel is
+    zero the resolution stops early (finite projective dimension); callers
+    read rank(i) = 0 beyond the recorded length.
     """
     if length < 0:
         raise ArgumentError("resolution length must be nonnegative")
     cached = M._cache.get("resolution")
     if cached is None:
         Mmin = minimalize(M, budget)
-        cached = (FreeComplex(M.ring, [Mmin.ambient_rank], []),
+        cached = (FreeComplex(M.ring, [Mmin.ambient_rank], []), 0,
                   list(Mmin.columns))
-    res, cur = cached
+    # steps 1..done are computed in full; cur is what step done + 1 prunes
+    res, done, cur = cached
     if res.length < length and cur:
-        ranks = list(res.ranks)
-        diffs: List[Matrix] = [list(d) for d in res.differentials]
+        ranks = list(res.ranks[:done + 1])
+        diffs: List[Matrix] = [list(d) for d in res.differentials[:done]]
         while len(diffs) < length and cur:
+            last = len(diffs) + 1 == length
             syz, _ = _kernel_columns(
                 M.ring, cur, [], PresentedModule.free(M.ring, ranks[-1]),
-                budget)
+                budget, units_only=last)
             # unit entries in the kernel mean cur's columns were a redundant
             # generating set; cancelling them drops matching columns of cur
             syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)
             diffs.append([cur[j] for j in kept])
             ranks.append(len(kept))
-            cur = syz
+            if not last:
+                cur = syz
+        done = len(diffs) - 1 if last else len(diffs)
         res = FreeComplex(M.ring, ranks, diffs, verify=True, budget=budget)
-    M._cache["resolution"] = (res, cur)
+    M._cache["resolution"] = (res, done, cur)
     if res.length <= length:
         return res
     return FreeComplex(res.ring, res.ranks[:length + 1],

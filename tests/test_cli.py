@@ -240,6 +240,19 @@ def test_run_info_high_degree_sop(tmp_path, capsys):
     assert "sops: high" in out
 
 
+def test_run_info_monomial_sop_past_packed_ceiling(tmp_path, capsys):
+    # x^(2^15) and y^(2^15) pass the packed ceiling; each is a multiple of a
+    # one-term basis element of (x^20000, y^20000), so neither is packed
+    model = tmp_path / "high.json"
+    model.write_text(json.dumps({"p": 2, "variables": ["x", "y"],
+                                 "sops": {"high": ["x^20000", "y^20000"]}}))
+    code = run(["info", str(model)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "    high: 15\n" in out
+    assert "sops: high" in out
+
+
 def test_run_deterministic_bytes(capsys):
     args = ["check", "gorenstein", model_path("d.json"),
             "--method", "tor-omega", "-s", "x", "-n", "1"]

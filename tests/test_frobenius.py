@@ -223,6 +223,19 @@ def test_kappa_high_degree_sop(p, power, kappa):
     assert kappa_for_sop(R, [R.variable(0) ** power]) == kappa
 
 
+@pytest.mark.parametrize("power, kappa", [
+    # S/J vanishes past degree 2 * (power - 1); x^(2^15) = x^32768 is past
+    # the packed ceiling but a multiple of the basis element x^20000
+    (20000, 15),
+    # 2^13 = 8192 < 16000 <= 2^14
+    (16000, 14),
+])
+def test_kappa_monomial_sop_past_packed_ceiling(power, kappa):
+    R = RingModel(2, ["x", "y"])
+    x = [R.variable(0) ** power, R.variable(1) ** power]
+    assert kappa_for_sop(R, x) == kappa
+
+
 @pytest.mark.parametrize("text", ["x-1", "x+x^2"])
 def test_kappa_rejects_unit_and_inhomogeneous(text):
     R = RingModel(3, ["x"])

@@ -23,6 +23,8 @@ GOLDEN = os.path.join(HERE, "golden")
 
 COMMANDS = {
     "resolve_b_MF_L3": "resolve {b} -m MF -L 3",
+    # the last kernel's unit syzygy drops a column of d2 (5 -> 4)
+    "resolve_b_k_L2": "resolve {b} -m k -L 2",
     "resolve_c_k_L3": "resolve {c} -m k -L 3",
     "resolve_d_MF_L4": "resolve {d} -m MF -L 4",
     "resolve_e_k_L4_tsv": "resolve {e} -m k -L 4 --tsv",

@@ -21,6 +21,7 @@ from frobcheck.frobenius import cached_pushforward
 from frobcheck.invariants import (depth_of_module, depth_of_ring,
                                   euler_characteristic, quotient_by_sequence)
 from frobcheck.module_engine import matmul
+from test_engine import P as ENGINE_P, graded_module_gens
 
 
 def P(ring, s):
@@ -205,38 +206,72 @@ def test_resolution_cache_extension_invisible(node):
 
 
 def test_resolution_resumes_from_cached_kernel(monkeypatch):
-    # a longer request continues a cached resolution: only the new kernels
+    # a longer request continues a cached resolution: the truncated last
+    # kernel of the short one is redone in full, then only the new kernels
     # are computed, and the differentials equal a fresh resolution's
     ring = load_model("c.json").ring
     kernels = []
     orig = module_engine._kernel_columns
 
-    def counting(*args):
-        kernels.append(1)
-        return orig(*args)
+    def counting(*args, **kwargs):
+        kernels.append(kwargs.get("units_only", False))
+        return orig(*args, **kwargs)
 
     monkeypatch.setattr(module_engine, "_kernel_columns", counting)
     staged = residue_field(ring)
     minimal_free_resolution(staged, 3)
+    assert kernels == [False, False, True]
+    minimal_free_resolution(staged, 2)
     assert len(kernels) == 3
     long_staged = minimal_free_resolution(staged, 5)
-    assert len(kernels) == 5
+    assert kernels == [False, False, True] + [False, False, True]
     long_fresh = minimal_free_resolution(residue_field(ring), 5)
     assert long_staged.betti_numbers() == long_fresh.betti_numbers()
     for i in range(1, 6):
         assert long_staged.differential(i) == long_fresh.differential(i)
 
 
-def test_resolution_betti_numbers_extend(corpus, capsys):
-    # the last step is pruned like every other, so a longer resolution only
-    # appends Betti numbers; each length is resolved from scratch
+def _assert_last_step_exact(M, top):
+    """For L = 1..top, a fresh resolution of M to L equals the first L
+    steps of a fresh one to L + 1: ranks and differentials. The last kernel
+    of the shorter one stops at the top degree of its generators, the
+    longer one computes the same kernel in full."""
+    res = [minimal_free_resolution(PresentedModule(
+        M.ring, M.ambient_rank, M.columns), L) for L in range(1, top + 2)]
+    for L, (short, longer) in enumerate(zip(res, res[1:]), start=1):
+        assert longer.ranks[:L + 1] == short.ranks
+        assert longer.differentials[:L] == short.differentials
+
+
+def test_truncated_last_kernel_matches_longer_resolution(corpus):
     for mf in corpus.values():
         for M in mf.modules.values():
-            betti = [minimal_free_resolution(PresentedModule(
-                M.ring, M.ambient_rank, M.columns), L).betti_numbers()
-                for L in range(1, 7)]
-            for short, longer in zip(betti, betti[1:]):
-                assert longer[:len(short)] == short
+            _assert_last_step_exact(M, 6)
+            res = minimal_free_resolution(M, 6)
+            for i, d in enumerate(res.differentials, start=1):
+                _assert_shifts_grade(M.ring, list(d), res.rank(i - 1))
+    # over B, k's second kernel is generated by 5 columns, and a unit entry
+    # in their truncated kernel cancels one of them
+    k = residue_field(corpus["B"].ring)
+    res = minimal_free_resolution(k, 2)
+    _, done, cur = k._cache["resolution"]
+    assert (done, len(cur)) == (1, 5)
+    assert res.betti_numbers() == (1, 3, 4)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3)])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_last_kernel_on_graded_modules(weights, data):
+    ring = RingModel(ENGINE_P, ["x", "y", "z"][:len(weights)],
+                     weights=weights)
+    gens = data.draw(graded_module_gens(weights))
+    M = PresentedModule(ring, 5, gens)
+    _assert_shifts_grade(ring, M.columns, 5)
+    _assert_last_step_exact(M, 4)
+
+
+def test_resolution_betti_numbers_extend(capsys):
     for argv, want in ((["c.json", "k", "5"], "1 3 6 12 24 48"),
                        (["b.json", "k", "2"], "1 3 4")):
         model, module, length = argv
@@ -634,13 +669,21 @@ def _columns(rows):
     return [flat([row[j] for row in rows]) for j in range(len(rows[0]))]
 
 
+def _assert_shifts_grade(ring, cols, nrows):
+    """The shifts ``_require_graded`` returns give each column one degree."""
+    shifts = module_engine._require_graded(ring, cols, nrows)
+    assert len(shifts) == nrows
+    for col in cols:
+        assert len({shifts[i] + ring.ctx.wdeg(m) for i, m in col}) <= 1
+
+
 @pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_weighted_graded_matrices(ring, data):
     a, b = data.draw(composable_pair(ring))
-    module_engine._require_graded(ring, _columns(a), len(a))
-    module_engine._require_graded(ring, _columns(b), len(b))
+    _assert_shifts_grade(ring, _columns(a), len(a))
+    _assert_shifts_grade(ring, _columns(b), len(b))
 
     # flat matmul against entrywise Polynomial products reduced by ring.nf
     expected = []
