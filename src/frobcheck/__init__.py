@@ -20,10 +20,9 @@ from .invariants import (EulerCharacteristic, InvariantBundle,
                          is_regular_sequence, is_sop, module_invariants,
                          quotient_by_sequence, rank_of_module, residue_field,
                          ring_as_module)
-from .module_engine import (FreeComplex, PresentedModule,
-                            SyzygyPresentation, ext, koszul_complex,
-                            min_generators, minimal_free_resolution,
-                            minimalize, module_groebner, module_length,
-                            syzygies, tor)
+from .module_engine import (FreeComplex, PresentedModule, ext,
+                            koszul_complex, min_generators,
+                            minimal_free_resolution, minimalize,
+                            module_groebner, module_length, tor)
 
 __version__ = "0.1.0"

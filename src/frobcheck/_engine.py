@@ -1,14 +1,17 @@
 """Flat sparse Groebner engine (internal), on packed integer terms.
 
-Elements of a free module S^r over S = F_p[x_1..x_v] are vectors. The
-module layer writes them as "flat vectors", dicts mapping a term key
-``(position, exponent_tuple)`` to a nonzero residue in [1, p). Inside the
-engine every term is one int instead (Monagan-Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+Elements of a free module S^r over S = F_p[x_1..x_v] are vectors, dicts
+mapping a packed term to a nonzero residue in [1, p). A term is one int
+(Monagan-Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007):
 
 - a monomial packs to k(m) = wdeg(m) * 2^S - sum_i e_i * 2^(F*i), with one
   F-bit field per variable whose top bit is a guard bit and S = F*v;
 - a term packs to T = k(m) - pos * 2^PB, with PB = S + F.
+
+The module layer's columns are the same vectors, so they enter the engine
+as they are. ``EngineContext.pack`` and ``unpack`` are the one codec
+between (position, exponent tuple, coefficient) triples and packed terms.
 
 k is linear, k(mn) = k(m) + k(n), so a shift by a monomial is one int
 addition, and the int order is the term order: position-over-term (lower
@@ -40,21 +43,20 @@ from __future__ import annotations
 
 import heapq
 from operator import le, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .budget import Budget
 from .errors import BudgetExceededError
 
 Mono = Tuple[int, ...]
-TermKey = Tuple[int, Mono]
-FlatVec = Dict[TermKey, int]
 PackedVec = Dict[int, int]
 
 F = 16                        # bits per exponent field, the top a guard bit
 DEGREE_LIMIT = 1 << (F - 1)   # every weighted degree stays below this
 
 
-def _past_ceiling(deg: int) -> BudgetExceededError:
+def past_ceiling(deg: int) -> BudgetExceededError:
     return BudgetExceededError(
         "packed_degree", DEGREE_LIMIT - 1,
         f"weighted degree {deg} does not fit the packed term encoding; "
@@ -113,14 +115,11 @@ class EngineContext:
         if k is None:
             d = sum(map(mul, self.weights, m))
             if d >= DEGREE_LIMIT:
-                raise _past_ceiling(d)
+                raise past_ceiling(d)
             k = (d << self.shift) - sum(e << s
                                         for e, s in zip(m, self._fields))
             self._mkey[m] = k
         return k
-
-    def term_key(self, t: TermKey) -> int:
-        return self.mono_key(t[1]) - (t[0] << self.pb)
 
     def wdeg(self, m: Mono) -> int:
         return (self.mono_key(m) + self.mask) >> self.shift
@@ -135,16 +134,18 @@ class EngineContext:
             self._mono[k] = m
         return m
 
-    def pack(self, vec: FlatVec) -> PackedVec:
+    def pack(self, terms: Iterable[Tuple[int, Mono, int]]) -> PackedVec:
+        """The vector of the terms (position, monomial, coefficient): each
+        monomial is checked against the degree ceiling, each (position,
+        monomial) pair must occur once and each coefficient lie in [1, p)."""
         key, pb = self.mono_key, self.pb
-        return {key(m) - (pos << pb): c for (pos, m), c in vec.items()}
+        return {key(m) - (pos << pb): c for pos, m, c in terms}
 
-    def unpack(self, vec: PackedVec) -> FlatVec:
+    def unpack(self, vec: PackedVec) -> Iterator[Tuple[int, Mono, int]]:
+        """The terms of ``vec`` as (position, monomial, coefficient)."""
         pb, top, mono_of = self.pb, self.top, self.mono_of
-        out: FlatVec = {}
         for t, c in vec.items():
-            out[(-(t >> pb), mono_of(t & top))] = c
-        return out
+            yield -(t >> pb), mono_of(t & top), c
 
 
 def vec_axpy(target: PackedVec, c: int, shift: int, src: PackedVec,
@@ -218,13 +219,6 @@ class GIndex:
                          for lead in self.leads[len(monos):])
         return monos
 
-    def flat_leads(self) -> List[TermKey]:
-        pb = self.ctx.pb
-        return [(-(lead >> pb), m)
-                for lead, m in zip(self.leads, self.lead_monos())]
-
-    def flat_elems(self) -> List[FlatVec]:
-        return [self.ctx.unpack(vec) for vec in self.elems]
 
 
 def reduce_full(vec: PackedVec, G: GIndex, ctx: EngineContext,
@@ -249,7 +243,7 @@ def reduce_full(vec: PackedVec, G: GIndex, ctx: EngineContext,
     while vec:
         t = max(vec)
         if t & top > ceiling:
-            raise _past_ceiling(((t & top) + mask) >> ctx.shift)
+            raise past_ceiling(((t & top) + mask) >> ctx.shift)
         r = -t & mask | guard
         for gi in by_pos.get(-(t >> pb), ()):
             # lowest index wins: a fixed reducer keeps reductions reproducible
@@ -281,22 +275,22 @@ def _is_rank1(vecs: Sequence[PackedVec]) -> bool:
     return all(t >= 0 for g in vecs for t in g)
 
 
-def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
+def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
                     budget: Budget, seed: Optional[GIndex] = None,
                     cap: Optional[Tuple[Sequence[int], int]] = None
                     ) -> GBData:
     """Reduced Groebner basis of the submodule generated by ``gens`` and
     ``seed``.
 
-    ``gens`` are flat vectors, packed once on entry; the result is packed.
-    Pair management follows Gebauer-Moeller: the chain filter on old pairs,
-    the M and F rules on new pairs, and the product criterion only in the
-    rank-1 (ideal) case, where it is valid. S-pairs form only between
-    leads at one position, so new pairs are drawn from ``idx.by_pos`` and
-    live pairs are kept per position: an insert touches only the leads and
-    pairs at its own position, and so does the final minimalization. The
-    pair bookkeeping works on the decoded lead monomials; each lcm is
-    packed, and so checked against the degree ceiling, as its pair is made.
+    ``gens`` are packed vectors, read and never modified. Pair management
+    follows Gebauer-Moeller: the chain filter on old pairs, the M and F
+    rules on new pairs, and the product criterion only in the rank-1
+    (ideal) case, where it is valid. S-pairs form only between leads at one
+    position, so new pairs are drawn from ``idx.by_pos`` and live pairs are
+    kept per position: an insert touches only the leads and pairs at its
+    own position, and so does the final minimalization. The pair
+    bookkeeping works on the decoded lead monomials; each lcm is packed,
+    and so checked against the degree ceiling, as its pair is made.
 
     ``seed`` is an index already known to be a Groebner basis (the qring
     strategy of Greuel-Pfister, ch. 2): its vectors must be monic and form
@@ -320,13 +314,12 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     weights = ctx.weights
     # the highest lcm degree processed at each position
     lim = None if cap is None else [cap[1] - s for s in cap[0]]
-    packed = [ctx.pack(g) for g in gens]
     # seed vectors enter the index first
     idx = GIndex(ctx) if seed is None else seed.copy()
     monos = idx._monos
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
-    rank1 = _is_rank1(packed) and _is_rank1(idx.elems)
+    rank1 = _is_rank1(gens) and _is_rank1(idx.elems)
     spairs = 0
 
     def gm_update(t: int) -> None:
@@ -368,7 +361,7 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
         gm_update(len(idx.elems) - 1)
 
     budget.check_basis(len(idx.elems))
-    for g in packed:
+    for g in gens:
         if g:
             add_elem(g)
 
@@ -421,7 +414,7 @@ def buchberger_flat(gens: Sequence[FlatVec], ctx: EngineContext,
     return GBData(final, spairs)
 
 
-def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
+def syzygies_flat(gens: Sequence[PackedVec], rank: int, nlead: int,
                   ctx: EngineContext, budget: Budget,
                   seed: Optional[GIndex] = None,
                   cap: Optional[Tuple[Sequence[int], int]] = None) -> GIndex:
@@ -437,7 +430,7 @@ def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
     of the kernel (elimination of module components; Greuel-Pfister, A
     Singular Introduction to Commutative Algebra, ch. 2). They are returned
     shifted down by ``rank``, positions indexing the lead block, as a
-    packed index in basis order; ``flat_elems()`` decodes them.
+    packed index in basis order.
 
     ``gens`` must be graded (some degree shift per position makes each
     generator homogeneous), so that the extended generators and the whole
@@ -450,7 +443,7 @@ def syzygies_flat(gens: Sequence[FlatVec], rank: int, nlead: int,
     rank + j takes the degree of g_j. The result is then the part of degree
     at most D of the kernel basis, which need not generate the kernel.
     """
-    ext = [{**g, (rank + j, ctx.zero_mono): 1}
+    ext = [{**g, -((rank + j) << ctx.pb): 1}
            for j, g in enumerate(gens[:nlead])]
     G = buchberger_flat(ext + list(gens[nlead:]), ctx, budget, seed,
                         cap).index

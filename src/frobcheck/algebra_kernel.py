@@ -20,8 +20,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _engine
-from ._engine import (EngineContext, FlatVec, GIndex, Mono, TermKey,
-                      reduce_full)
+from ._engine import EngineContext, GIndex, Mono, reduce_full
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ArgumentError
 
@@ -357,10 +356,6 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.index.elems)
 
-    @property
-    def leads(self) -> List[TermKey]:
-        return self.index.flat_leads()
-
     def leads_by_position(self) -> List[List[Mono]]:
         """Generators of the leading ideal at each ambient position."""
         idx = self.index
@@ -371,27 +366,18 @@ class GroebnerBasis:
     def polynomials(self) -> List[Polynomial]:
         if self.ambient_rank != 1:
             raise ArgumentError("polynomials() requires an ideal basis")
-        out = []
-        for vec in self.index.flat_elems():
-            out.append(Polynomial(self.ring, {m: c for (_, m), c in vec.items()}))
-        return out
+        unpack = self.ring.ctx.unpack
+        return [Polynomial(self.ring, {m: c for _, m, c in unpack(vec)})
+                for vec in self.index.elems]
 
     def vectors(self) -> List[Tuple[Polynomial, ...]]:
         out = []
-        for vec in self.index.flat_elems():
+        for vec in self.index.elems:
             cols: List[Dict[Mono, int]] = [dict() for _ in range(self.ambient_rank)]
-            for (pos, m), c in vec.items():
+            for pos, m, c in self.ring.ctx.unpack(vec):
                 cols[pos][m] = c
             out.append(tuple(Polynomial(self.ring, t) for t in cols))
         return out
-
-    def reduce_flat(self, vec: FlatVec) -> FlatVec:
-        ctx = self.ring.ctx
-        return ctx.unpack(reduce_full(ctx.pack(vec), self.index, ctx))
-
-
-def _poly_to_flat(f: Polynomial) -> FlatVec:
-    return {(0, m): c for m, c in f.terms.items()}
 
 
 def buchberger(gens: Sequence[Polynomial], ring: RingModel,
@@ -404,8 +390,10 @@ def buchberger(gens: Sequence[Polynomial], ring: RingModel,
     for g in gens:
         if not ring.compatible(g.ring):
             raise ArgumentError("generator does not lie in the model's ring")
-    flat = [_poly_to_flat(g) for g in gens]
-    gbd = _engine.buchberger_flat(flat, ring.ctx, budget)
+    pack = ring.ctx.pack
+    gbd = _engine.buchberger_flat(
+        [pack((0, m, c) for m, c in g.terms.items()) for g in gens],
+        ring.ctx, budget)
     return GroebnerBasis(ring, 1, gbd.index)
 
 
@@ -415,8 +403,10 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ArgumentError("ring mismatch between polynomial and basis")
     if gb.ambient_rank != 1:
         raise ArgumentError("normal_form on polynomials needs an ideal basis")
-    out = gb.reduce_flat(_poly_to_flat(f))
-    return Polynomial(gb.ring, {m: c for (_, m), c in out.items()})
+    ctx = gb.ring.ctx
+    out = reduce_full(ctx.pack((0, m, c) for m, c in f.terms.items()),
+                      gb.index, ctx)
+    return Polynomial(gb.ring, {m: c for _, m, c in ctx.unpack(out)})
 
 
 def _minimal_monomials(monos: Iterable[Mono]) -> List[Mono]:

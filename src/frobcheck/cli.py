@@ -329,7 +329,7 @@ def _rendered_rows(M: PresentedModule) -> List[List[str]]:
     ring = M.ring
     grid: List[Dict[int, dict]] = [{} for _ in range(M.ambient_rank)]
     for j, col in enumerate(M.columns):
-        for (i, m), c in col.items():
+        for i, m, c in ring.ctx.unpack(col):
             grid[i].setdefault(j, {})[m] = c
     return [[ring.render_poly(Polynomial(ring, row[j])) if j in row else "0"
              for j in range(len(M.columns))] for row in grid]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Tuple
 
+from ._engine import DEGREE_LIMIT, past_ceiling
 from .algebra_kernel import Polynomial, RingModel, normal_form
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
@@ -42,16 +43,32 @@ class FrobeniusPower:
 
 
 def _check_minimal(M: PresentedModule) -> None:
-    zero = M.ring.ctx.zero_mono
-    if any(m == zero for col in M.columns for _, m in col):
+    top = M.ring.ctx.top
+    if any(not t & top for col in M.columns for t in col):
         raise PreconditionError(
             "presentation has a unit entry; minimalize first")
 
 
-def _bracket(cols: Matrix, q: int) -> Matrix:
-    """Entrywise q-th powers: exponents scale by q, coefficients stay (F_p)."""
-    return [{(i, tuple(q * e for e in m)): c for (i, m), c in col.items()}
-            for col in cols]
+def _bracket(ring: RingModel, cols: Matrix, q: int) -> Matrix:
+    """Entrywise q-th powers: exponents scale by q, coefficients stay (F_p).
+
+    k is linear, so the monomial key k(m) of each term becomes q * k(m),
+    its row unchanged. The degree q * wdeg(m) is checked against the
+    ceiling first, so no exponent field can overflow.
+    """
+    ctx = ring.ctx
+    top, mask, shift = ctx.top, ctx.mask, ctx.shift
+    out: Matrix = []
+    for col in cols:
+        new = {}
+        for t, c in col.items():
+            k = t & top
+            d = q * (k + mask >> shift)
+            if d >= DEGREE_LIMIT:
+                raise past_ceiling(d)
+            new[t + (q - 1) * k] = c
+        out.append(new)
+    return out
 
 
 def frobenius_module(M: PresentedModule, n: int,
@@ -64,8 +81,8 @@ def frobenius_module(M: PresentedModule, n: int,
     """
     _check_minimal(M)
     fp = FrobeniusPower.of(M.ring, n)
-    return PresentedModule(M.ring, M.ambient_rank, _bracket(M.columns, fp.q),
-                           budget)
+    return PresentedModule(M.ring, M.ambient_rank,
+                           _bracket(M.ring, M.columns, fp.q), budget)
 
 
 def frobenius_complex(G: FreeComplex, n: int,
@@ -77,7 +94,7 @@ def frobenius_complex(G: FreeComplex, n: int,
     minimal resolution of M.
     """
     fp = FrobeniusPower.of(G.ring, n)
-    diffs = [_bracket(d, fp.q) for d in G.differentials]
+    diffs = [_bracket(G.ring, d, fp.q) for d in G.differentials]
     return FreeComplex(G.ring, G.ranks, diffs, verify=True, budget=budget)
 
 
@@ -128,12 +145,12 @@ def pushforward_presentation(ring: RingModel, n: int,
     cols: Matrix = []
     for g in ring.ideal_gens:
         for a in residues:
-            col = {}
+            terms = []
             for m, c in g.terms.items():
                 e = [x + y for x, y in zip(m, a)]
-                col[(index[tuple(x % q for x in e)],
-                     tuple(x // q for x in e))] = c
-            cols.append(col)
+                terms.append((index[tuple(x % q for x in e)],
+                              tuple(x // q for x in e), c))
+            cols.append(ring.ctx.pack(terms))
     pres = PresentedModule(ring, count, cols, budget)
     return PushforwardModule(pres, residues, fp)
 

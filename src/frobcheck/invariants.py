@@ -166,7 +166,8 @@ def quotient_by_sequence(M: PresentedModule, x: Sequence[Polynomial]
         if not M.ring.compatible(e.ring):
             raise ArgumentError("sequence element outside the module's ring")
         for j in range(M.ambient_rank):
-            cols.append({(j, m): c for m, c in e.terms.items()})
+            cols.append(M.ring.ctx.pack((j, m, c)
+                                        for m, c in e.terms.items()))
     return PresentedModule(M.ring, M.ambient_rank, cols)
 
 
@@ -256,7 +257,7 @@ def canonical_module(ring: RingModel, budget: Budget = DEFAULT_BUDGET
     S = ring.ambient()
     c = len(ring.variables) - ring.dim(budget)
     r_over_s = PresentedModule(
-        S, 1, [{(0, m): a for m, a in g.terms.items()}
+        S, 1, [S.ctx.pack((0, m, a) for m, a in g.terms.items())
                for g in ring.ideal_gens])
     h = ext(r_over_s, PresentedModule.free(S, 1), c, budget)
     omega = minimalize(

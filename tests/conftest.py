@@ -18,6 +18,12 @@ def model_path(name):
     return os.path.join(MODELS_DIR, name)
 
 
+def packed(ctx, terms):
+    """The packed column of ``terms``, {(row, exponent tuple): coeff},
+    under the layout of the EngineContext ``ctx``."""
+    return ctx.pack((row, m, c) for (row, m), c in terms.items())
+
+
 def monomials_of_degree(ring, d):
     """Exponent tuples of weighted degree d."""
     w = ring.weights

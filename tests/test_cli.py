@@ -186,6 +186,8 @@ def test_run_budget_exit_three(capsys, monkeypatch):
     # y^20000 packs, its Frobenius power y^40000 does not
     ("y^20000", ["tor", "-m", "M", "-n", "1", "-i", "1", "--method",
                  "functor"]),
+    # the same power of an entry, before any term is reduced
+    ("x^20000", ["frobenius", "-m", "M", "-n", "1"]),
 ])
 def test_run_past_packed_degree_ceiling_exit_three(entry, argv, tmp_path,
                                                    capsys):
@@ -200,6 +202,7 @@ def test_run_past_packed_degree_ceiling_exit_three(entry, argv, tmp_path,
     captured = capsys.readouterr()
     assert code == 3
     assert "packed_degree (limit 32767)" in captured.err
+    assert "weighted degree 40000" in captured.err
     assert captured.out == ""
 
 

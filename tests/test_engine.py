@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import packed
 from frobcheck.budget import Budget
 from frobcheck.errors import BudgetExceededError
 from frobcheck._engine import (DEGREE_LIMIT, EngineContext, GIndex,
@@ -50,6 +51,15 @@ def _axpy(target, c, shift, src):
             target[key] = v
         else:
             target.pop(key, None)
+
+
+def _flat(ctx, vec):
+    """The terms of a packed vector as {(position, exponents): coeff}."""
+    return {(pos, m): c for pos, m, c in ctx.unpack(vec)}
+
+
+def _flat_leads(idx):
+    return [next(idx.ctx.unpack({lead: 1}))[:2] for lead in idx.leads]
 
 
 def _combine(coeffs, vecs):
@@ -127,7 +137,7 @@ def _ref_buchberger(gens, ctx):
 
     for i, g in enumerate(gens):
         if g:
-            add_elem(ctx.pack(g), {-(i << pb): 1})
+            add_elem(packed(ctx, g), {-(i << pb): 1})
     while heap:
         key, i, j = heapq.heappop(heap)
         pos = pos_of(idx.leads[i])
@@ -171,7 +181,7 @@ def _ref_syzygies(gens, ctx):
     I - A*B expressing each generator over the basis. Returned flat."""
     p, pb = ctx.p, ctx.pb
     G, reps = _ref_buchberger(gens, ctx)
-    flat_reps = [ctx.unpack(r) for r in reps]
+    flat_reps = [_flat(ctx, r) for r in reps]
     monos = G.lead_monos()
 
     def collect_into(z, sign):
@@ -186,21 +196,21 @@ def _ref_syzygies(gens, ctx):
         for l in G.by_pos[pk]:
             if l <= k:
                 continue
-            L = ctx.term_key((pk, mono_lcm(monos[k], monos[l])))
+            L = ctx.mono_key(mono_lcm(monos[k], monos[l])) - (pk << pb)
             dk, dl = L - lead, L - G.leads[l]
             u = {}
             vec_axpy(u, 1, dk, G.elems[k], p)
             vec_axpy(u, p - 1, dl, G.elems[l], p)
             z = {dk - (k << pb): 1, dl - (l << pb): p - 1}
             assert not reduce_full(u, G, ctx, on_reduce=collect_into(z, -1))
-            zs.append(_combine(ctx.unpack(z), flat_reps))
+            zs.append(_combine(_flat(ctx, z), flat_reps))
     for i, f in enumerate(gens):
         b = {}
         if f:
-            assert not reduce_full(ctx.pack(f), G, ctx,
+            assert not reduce_full(packed(ctx, f), G, ctx,
                                    on_reduce=collect_into(b, 1))
         s = {(i, ctx.zero_mono): 1}
-        _axpy(s, -1, ctx.zero_mono, _combine(ctx.unpack(b), flat_reps))
+        _axpy(s, -1, ctx.zero_mono, _combine(_flat(ctx, b), flat_reps))
         zs.append(s)
     return [z for z in zs if z]
 
@@ -269,8 +279,9 @@ def graded_module_gens(draw, weights):
 def test_module_groebner_basis_and_syzygies(weights, data):
     ctx = EngineContext(P, weights)
     gens = data.draw(module_gens(len(weights)))
-    gbd = buchberger_flat(gens, ctx, Budget())
-    basis, leads = gbd.index.flat_elems(), gbd.index.flat_leads()
+    gbd = buchberger_flat([packed(ctx, g) for g in gens], ctx, Budget())
+    basis = [_flat(ctx, v) for v in gbd.index.elems]
+    leads = _flat_leads(gbd.index)
     nonzero = [g for g in gens if g]
     assert bool(basis) == bool(nonzero)
 
@@ -281,7 +292,7 @@ def test_module_groebner_basis_and_syzygies(weights, data):
     for k, g in enumerate(basis):
         assert leads[k] == _lead(g, weights)
         assert g[leads[k]] == 1
-        assert _combine(ctx.unpack(reps[k]), gens) == g
+        assert _combine(_flat(ctx, reps[k]), gens) == g
         for l, (q, lm) in enumerate(leads):
             if l != k and q == leads[k][0]:
                 assert not _divides(lm, leads[k][1])
@@ -305,19 +316,24 @@ def test_module_groebner_basis_and_syzygies(weights, data):
         assert _reduces_to_zero(g, basis, weights)
 
     perm = data.draw(st.permutations(range(len(gens))))
-    again = buchberger_flat([gens[i] for i in perm], ctx, Budget()).index
-    assert again.flat_leads() == leads and again.flat_elems() == basis
+    again = buchberger_flat([packed(ctx, gens[i]) for i in perm], ctx,
+                            Budget()).index
+    assert _flat_leads(again) == leads
+    assert [_flat(ctx, v) for v in again.elems] == basis
 
     # the elimination kernel is a reduced basis of the syzygy module: each
     # vector maps to zero, and it spans the same module as the reference
     gens = data.draw(graded_module_gens(weights))
-    packed = syzygies_flat(gens, 5, len(gens), ctx, Budget())
-    kernel = packed.flat_elems()
-    assert buchberger_flat(kernel, ctx, Budget()).index.elems == packed.elems
+    cols = [packed(ctx, g) for g in gens]
+    kern = syzygies_flat(cols, 5, len(gens), ctx, Budget())
+    kernel = [_flat(ctx, z) for z in kern.elems]
+    assert buchberger_flat(kern.elems, ctx, Budget()).index.elems == \
+        kern.elems
     for z in kernel:
         assert _combine(z, gens) == {}
     ref_syz = _ref_syzygies(gens, ctx)
-    ref_basis = buchberger_flat(ref_syz, ctx, Budget()).index.flat_elems()
+    ref_basis = [_flat(ctx, v) for v in buchberger_flat(
+        [packed(ctx, z) for z in ref_syz], ctx, Budget()).index.elems]
     for z in ref_syz:
         assert _reduces_to_zero(z, kernel, weights)
     for z in kernel:
@@ -325,8 +341,10 @@ def test_module_groebner_basis_and_syzygies(weights, data):
 
     # with a lead block: the kernel is the lead-block part of the syzygies
     nlead = data.draw(st.integers(1, len(gens)))
-    kernel = syzygies_flat(gens, 5, nlead, ctx, Budget()).flat_elems()
-    rest = buchberger_flat(gens[nlead:], ctx, Budget()).index.flat_elems()
+    kernel = [_flat(ctx, z) for z in
+              syzygies_flat(cols, 5, nlead, ctx, Budget()).elems]
+    rest = [_flat(ctx, v) for v in
+            buchberger_flat(cols[nlead:], ctx, Budget()).index.elems]
     for z in kernel:
         assert {k[0] for k in z} <= set(range(nlead))
         assert _reduces_to_zero(_combine(z, gens), rest, weights)
@@ -343,11 +361,11 @@ def test_seeded_basis_and_kernel_equal_unseeded(weights, data):
     # pairs between it and new generators still are, so the result is the
     # reduced basis of everything, element for element
     ctx = EngineContext(P, weights)
-    h = data.draw(module_gens(len(weights)))
-    g = data.draw(module_gens(len(weights)))
+    h = [packed(ctx, v) for v in data.draw(module_gens(len(weights)))]
+    g = [packed(ctx, v) for v in data.draw(module_gens(len(weights)))]
     B = buchberger_flat(h, ctx, Budget()).index
     seeded = buchberger_flat(g, ctx, Budget(), seed=B).index
-    plain = buchberger_flat(g + B.flat_elems(), ctx, Budget()).index
+    plain = buchberger_flat(g + B.elems, ctx, Budget()).index
     assert seeded.leads == plain.leads and seeded.elems == plain.elems
     again = buchberger_flat(g + h, ctx, Budget()).index
     assert again.leads == plain.leads and again.elems == plain.elems
@@ -355,7 +373,7 @@ def test_seeded_basis_and_kernel_equal_unseeded(weights, data):
     assert alone.elems == B.elems
 
     # a kernel whose rest is partly given as a seed basis
-    gens = data.draw(graded_module_gens(weights))
+    gens = [packed(ctx, v) for v in data.draw(graded_module_gens(weights))]
     nlead = data.draw(st.integers(1, len(gens)))
     cut = data.draw(st.integers(nlead, len(gens)))
     rest = buchberger_flat(gens[cut:], ctx, Budget()).index
@@ -397,7 +415,7 @@ def test_packing_matches_tuple_order_and_division(weights, data):
         m = tuple(a + b for a, b in zip(s[1], extra))
         if _wdeg(weights, m) < DEGREE_LIMIT:
             t = (s[0], m)
-    ks, kt = ctx.term_key(s), ctx.term_key(t)
+    (ks,), (kt,) = packed(ctx, {s: 1}), packed(ctx, {t: 1})
 
     # int order is position-over-term weighted grevlex, positions included
     def key(term):
@@ -406,7 +424,7 @@ def test_packing_matches_tuple_order_and_division(weights, data):
     assert (ks == kt) == (s == t)
 
     # decoding inverts packing, and the degree reads off the key
-    assert ctx.unpack({ks: 1, kt: 2}) == {s: 1, t: 2}
+    assert _flat(ctx, {ks: 1, kt: 2}) == {s: 1, t: 2}
     assert ctx.wdeg(s[1]) == _wdeg(weights, s[1])
 
     # k is linear below the ceiling, and refuses to pack past it
@@ -434,8 +452,8 @@ def test_packing_at_the_degree_ceiling(weights):
         def power(e):
             return tuple(e if j == i else 0 for j in range(len(weights)))
         top = power((DEGREE_LIMIT - 1) // w)
-        k = ctx.term_key((3, top))
-        assert ctx.unpack({k: 1}) == {(3, top): 1}
+        k = packed(ctx, {(3, top): 1})
+        assert _flat(ctx, k) == {(3, top): 1}
         assert ctx.wdeg(top) == _wdeg(weights, top) < DEGREE_LIMIT
         with pytest.raises(BudgetExceededError, match="packed_degree"):
             ctx.mono_key(power((DEGREE_LIMIT - 1) // w + 1))
@@ -445,13 +463,13 @@ def test_reduction_past_the_degree_ceiling_raises():
     # x*e0 + y^20000*e1 is graded (row shifts 19999 and 0); reducing
     # x^20000*e0 by it makes x^19999*y^20000*e1, past the ceiling
     ctx = EngineContext(P, (1, 1))
-    gb = buchberger_flat([{(0, (1, 0)): 1, (1, (0, 20000)): 1}], ctx,
-                         Budget())
+    gb = buchberger_flat([packed(ctx, {(0, (1, 0)): 1, (1, (0, 20000)): 1})],
+                         ctx, Budget())
     with pytest.raises(BudgetExceededError, match="packed_degree"):
-        reduce_full(ctx.pack({(0, (20000, 0)): 1}), gb.index, ctx)
+        reduce_full(packed(ctx, {(0, (20000, 0)): 1}), gb.index, ctx)
     # below the ceiling the same step succeeds
-    out = reduce_full(ctx.pack({(0, (10000, 0)): 1}), gb.index, ctx)
-    assert ctx.unpack(out) == {(1, (9999, 20000)): P - 1}
+    out = reduce_full(packed(ctx, {(0, (10000, 0)): 1}), gb.index, ctx)
+    assert _flat(ctx, out) == {(1, (9999, 20000)): P - 1}
 
 
 def test_library_calls_past_the_degree_ceiling_raise():
@@ -465,7 +483,21 @@ def test_library_calls_past_the_degree_ceiling_raise():
     # -x^19999 y^20000 e1
     gb = module_groebner([[x, y ** 20000]], 2, R)
     with pytest.raises(BudgetExceededError, match="packed_degree"):
-        gb.reduce_flat({(0, (20000, 0)): 1})
+        reduce_full(packed(R.ctx, {(0, (20000, 0)): 1}), gb.index, R.ctx)
+
+
+def test_products_past_the_degree_ceiling_raise():
+    # over a ring with no ideal nothing is reduced, so the normal form
+    # checks every term: x^20000 * y^20000 has weighted degree 40000
+    from frobcheck import RingModel
+    from frobcheck.module_engine import matmul
+    R = RingModel(5, ["x", "y"])
+    a = [packed(R.ctx, {(0, (20000, 0)): 1})]
+    ok = [packed(R.ctx, {(0, (0, 12767)): 1})]
+    assert matmul(R, a, ok) == [packed(R.ctx, {(0, (20000, 12767)): 1})]
+    with pytest.raises(BudgetExceededError,
+                       match="packed_degree.*weighted degree 40000"):
+        matmul(R, a, [packed(R.ctx, {(0, (0, 20000)): 1})])
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +510,9 @@ class Cancelled(Exception):
 def test_cancel_polled_in_tail_and_syzygy_reductions():
     ctx = EngineContext(P, (1, 1, 1))
     # x^2 + yz, xz^2, xy^2 + z^3 as polynomials (position 0)
-    gens = [{(0, (2, 0, 0)): 1, (0, (0, 1, 1)): 1},
-            {(0, (1, 0, 2)): 1},
-            {(0, (1, 2, 0)): 1, (0, (0, 0, 3)): 1}]
+    gens = [packed(ctx, g) for g in ({(0, (2, 0, 0)): 1, (0, (0, 1, 1)): 1},
+                                     {(0, (1, 0, 2)): 1},
+                                     {(0, (1, 2, 0)): 1, (0, (0, 0, 3)): 1})]
     polls = []
     budget = Budget(cancel_check=lambda: polls.append(1))
     gbd = buchberger_flat(gens, ctx, budget)

@@ -8,8 +8,13 @@ change, regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 The two high-power functor reports pin lengths of large Artinian
 quotients. B at n = 5 reaches weighted degree 243, and every report runs
 at the CLI's default budget, with no environment settings.
+
+The benchmark's ops are checked here too, by its own oracle: their
+invariant lines, not their bytes, at seed 0 and at seed 1, whose permuted
+and rescaled presentations no golden report covers.
 """
 
+import json
 import os
 import sys
 
@@ -20,6 +25,7 @@ from frobcheck.cli import run
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODELS = os.path.join(HERE, "models")
 GOLDEN = os.path.join(HERE, "golden")
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 COMMANDS = {
     "resolve_b_MF_L3": "resolve {b} -m MF -L 3",
@@ -65,6 +71,32 @@ def test_golden_report(name, capsys):
         want = fh.read()
     assert code == 0
     assert _payload(out) == _payload(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_benchmark_ops_match_their_oracle(seed, tmp_path, monkeypatch,
+                                          capsys):
+    # the benchmark's correctness gate in process, every op of every
+    # workload, with the budget its workers get; perfbench/ is only read
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import oracle
+    from models import write_models
+    from workloads import WORKLOADS, argv_for
+    monkeypatch.setenv("FROBCHECK_MAX_PUSHFORWARD_GENS", "256")
+    with open(os.path.join(PERFBENCH, "expected.json"),
+              encoding="utf-8") as fh:
+        expected = json.load(fh)
+    paths = {k: str(v) for k, v in write_models(seed, tmp_path).items()}
+    ops = [op for workload in WORKLOADS.values() for op in workload]
+    assert len(ops) == 33
+    problems = {}
+    for op in ops:
+        code = run(argv_for(op, paths))
+        lines = oracle.invariant_lines(capsys.readouterr().out)
+        wrong = oracle.judge(code, lines, expected[op])
+        if wrong:
+            problems[op] = wrong
+    assert problems == {}
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from frobcheck import (DEFAULT_BUDGET, Polynomial, PresentedModule,
 from frobcheck.cli import parse_polynomial
 from frobcheck.criteria import pd_is_finite
 from frobcheck.invariants import _minors, quotient_by_sequence
-from conftest import load_model, monomials_of_degree
+from conftest import load_model, monomials_of_degree, packed
 
 
 def P(ring, s):
@@ -71,7 +71,7 @@ def test_dimension_of_finite_length_power_past_the_minors_budget():
     S = RingModel(2, ["x", "y", "z"])
     cubes = [tuple(c.count(i) for i in range(3))
              for c in combinations_with_replacement(range(3), 3)]
-    cols = [{(j, m): 1} for j in range(5) for m in cubes]
+    cols = [packed(S.ctx, {(j, m): 1}) for j in range(5) for m in cubes]
     M = PresentedModule(S, 5, cols)
     assert dimension_of_module(M, DEFAULT_BUDGET) == 0
     assert module_length(M, DEFAULT_BUDGET) == 50
@@ -82,7 +82,7 @@ def test_krull_dimension_of_a_module_basis_is_the_largest_position():
 
     def direct_sum(*ideals):
         """Basis of the relations of S/J_0 (+) S/J_1 (+) ..."""
-        gens = [{(j, tuple(int(c == v) for c in "xyz")): 1}
+        gens = [packed(S.ctx, {(j, tuple(int(c == v) for c in "xyz")): 1})
                 for j, ideal in enumerate(ideals) for v in ideal]
         return module_groebner(gens, len(ideals), S)
 
@@ -90,7 +90,7 @@ def test_krull_dimension_of_a_module_basis_is_the_largest_position():
     assert krull_dimension(direct_sum("x", "yz", "")) == 3
     assert krull_dimension(direct_sum("x", "yz")) == 2
     assert krull_dimension(direct_sum("yz", "xy")) == 1
-    units = [{(j, S.ctx.zero_mono): 1} for j in range(2)]
+    units = [packed(S.ctx, {(j, S.ctx.zero_mono): 1}) for j in range(2)]
     assert krull_dimension(module_groebner(units, 2, S)) == -1
 
 
@@ -230,7 +230,7 @@ def test_rank_of_finite_length_power_past_the_minors_budget():
     S = RingModel(2, ["x", "y", "z"], is_domain=True)
     cubes = [tuple(c.count(i) for i in range(3))
              for c in combinations_with_replacement(range(3), 3)]
-    cols = [{(j, m): 1} for j in range(5) for m in cubes]
+    cols = [packed(S.ctx, {(j, m): 1}) for j in range(5) for m in cubes]
     M = PresentedModule(S, 5, cols)
     assert rank_of_module(M, DEFAULT_BUDGET) == 0
 

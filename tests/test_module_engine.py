@@ -1,4 +1,4 @@
-"""Module layer: module bases, syzygies, resolutions, Koszul homology,
+"""Module layer: module bases, kernels, resolutions, Koszul homology,
 lengths, Tor, Ext, minimal generators."""
 
 from itertools import combinations, product
@@ -6,14 +6,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_model, model_path, monomials_of_degree
-from frobcheck import (ArgumentError, INFINITE, Polynomial, PresentedModule,
-                       RingModel, ext, koszul_complex,
-                       min_generators, minimal_free_resolution, minimalize,
-                       module_groebner, module_length, residue_field,
-                       ring_as_module, syzygies, tor)
+from conftest import load_model, model_path, monomials_of_degree, packed
+from frobcheck import (ArgumentError, INFINITE, InternalConsistencyError,
+                       Polynomial, PresentedModule, RingModel, ext,
+                       koszul_complex, min_generators,
+                       minimal_free_resolution, minimalize, module_groebner,
+                       module_length, residue_field, ring_as_module, tor)
 from frobcheck import module_engine
-from frobcheck._engine import vec_scale
+from frobcheck._engine import reduce_full, vec_axpy, vec_scale
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.criteria import pd_is_finite
@@ -47,22 +47,30 @@ def B():
                      is_domain=True, expected_CM=True)
 
 
-def flat(vec):
-    """Flat column {(row, exponents): coeff} of a Polynomial vector."""
+def column(ring, vec):
+    """The packed column of a Polynomial vector; a column passes as is."""
     if isinstance(vec, dict):
         return vec
-    return {(i, m): c for i, e in enumerate(vec) for m, c in e.terms.items()}
+    return packed(ring.ctx, {(i, m): c for i, e in enumerate(vec)
+                             for m, c in e.terms.items()})
+
+
+def in_span(gb, vec):
+    return not reduce_full(dict(column(gb.ring, vec)), gb.index, gb.ring.ctx)
 
 
 def vecs_equal_span(ring, rank, gens_a, gens_b):
     gb_a = module_groebner(gens_a, rank, ring)
     gb_b = module_groebner(gens_b, rank, ring)
-    def contained(gens, gb):
-        for col in gens:
-            if gb.reduce_flat(flat(col)):
-                return False
-        return True
-    return contained(gens_b, gb_a) and contained(gens_a, gb_b)
+    return all(in_span(gb_a, col) for col in gens_b) and \
+        all(in_span(gb_b, col) for col in gens_a)
+
+
+def kernel(ring, vecs, rank):
+    """Kernel columns of the map R^len(vecs) -> R^rank."""
+    return module_engine._kernel_columns(
+        ring, [column(ring, v) for v in vecs], [],
+        PresentedModule.free(ring, rank), Budget())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +88,7 @@ def test_module_groebner_identity_columns(A):
     one = A.one()
     gb = module_groebner([[one, A.zero()], [A.zero(), one]], 2, A)
     # any vector reduces to zero: full module
-    assert not gb.reduce_flat(flat([P(A, "x^2"), P(A, "y")]))
+    assert in_span(gb, [P(A, "x^2"), P(A, "y")])
 
 
 def test_module_groebner_lifts_ideal(node):
@@ -88,9 +96,7 @@ def test_module_groebner_lifts_ideal(node):
     gb = module_groebner([[x, y]], 2, node)
     # padding adds xy*e_0 and xy*e_1 behind the scenes; the reduced basis
     # must contain an element at each position coming from the ideal
-    leads = gb.leads
-    assert any(pos == 0 for pos, _ in leads) and \
-        any(pos == 1 for pos, _ in leads)
+    assert all(gb.leads_by_position())
     assert len(gb) >= 3
 
 
@@ -100,40 +106,37 @@ def test_module_groebner_basis_is_reduced(node, B):
                        (B, [[P(B, "x"), P(B, "z")],
                             [P(B, "y"), P(B, "-x")]])):
         gb = module_groebner(gens, 2, ring)
-        leads = gb.leads
-        for k, vec in enumerate(gb.index.flat_elems()):
-            assert vec[leads[k]] == 1   # monic
-            for pos, m in vec:
+        unpack = ring.ctx.unpack
+        leads = [next(unpack({lead: 1}))[:2] for lead in gb.index.leads]
+        for k, vec in enumerate(gb.index.elems):
+            assert vec[gb.index.leads[k]] == 1   # monic
+            for pos, m, _ in unpack(vec):
                 for j, (pj, mj) in enumerate(leads):
                     if j != k and pj == pos:
                         assert not mono_divides(mj, m)
 
 
 # ---------------------------------------------------------------------------
-# syzygies
+# kernels
 
 def test_syzygy_koszul_relation(A):
     x, y = P(A, "x"), P(A, "y")
-    syz = syzygies([[x], [y]], 1, A)
+    syz = kernel(A, [[x], [y]], 1)
     # kernel generated by (y, x) and free on it
-    assert vecs_equal_span(A, 2, list(syz.embedded_generators), [[y, x]])
-    assert not syz.is_zero()
-    assert module_length(syz) is INFINITE
+    assert vecs_equal_span(A, 2, syz, [[y, x]])
+    assert syz and kernel(A, syz, 2) == []
 
 
 def test_syzygy_identity_columns_zero_module(A):
     one = A.one()
-    syz = syzygies([[one, A.zero()], [A.zero(), one]], 2, A)
-    assert syz.is_zero()
-    assert syz.embedded_generators == ()
+    assert kernel(A, [[one, A.zero()], [A.zero(), one]], 2) == []
 
 
 def test_syzygy_over_node_contains_split_relations(node):
     x, y = P(node, "x"), P(node, "y")
-    syz = syzygies([[x], [y]], 1, node)
-    gb = module_groebner(list(syz.embedded_generators), 2, node)
+    gb = module_groebner(kernel(node, [[x], [y]], 1), 2, node)
     for col in ([y, node.zero()], [node.zero(), x]):
-        assert not gb.reduce_flat(flat(col))
+        assert in_span(gb, col)
 
 
 def test_entry_points_reject_ungraded_matrices(A):
@@ -148,9 +151,9 @@ def test_entry_points_reject_ungraded_matrices(A):
         with pytest.raises(ArgumentError, match="graded structure"):
             module_groebner(cols, len(rows), A)
         with pytest.raises(ArgumentError, match="graded structure"):
-            syzygies(cols, len(rows), A)
-        # flat columns given to the constructor are caught at the first kernel
-        M = PresentedModule(A, len(rows), [flat(c) for c in cols])
+            kernel(A, cols, len(rows))
+        # columns given to the constructor are caught at the first kernel
+        M = PresentedModule(A, len(rows), [column(A, c) for c in cols])
         with pytest.raises(ArgumentError, match="graded structure"):
             minimal_free_resolution(M, 2)
     K = koszul_complex([P(A, "x+y^2")], ring_as_module(A))
@@ -159,10 +162,11 @@ def test_entry_points_reject_ungraded_matrices(A):
 
 
 def test_flat_columns_outside_ambient_rank_rejected(A):
-    e1 = {(1, A.ctx.zero_mono): 1}
-    for entry_point in (module_groebner, syzygies):
-        with pytest.raises(ArgumentError, match="outside ambient rank"):
-            entry_point([e1], 1, A)
+    e1 = packed(A.ctx, {(1, A.ctx.zero_mono): 1})
+    with pytest.raises(ArgumentError, match="outside ambient rank"):
+        module_groebner([e1], 1, A)
+    with pytest.raises(ArgumentError, match="outside ambient rank"):
+        PresentedModule(A, 1, [e1])
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,45 @@ def test_resolution_resumes_from_cached_kernel(monkeypatch):
         assert long_staged.differential(i) == long_fresh.differential(i)
 
 
+def test_resolution_checks_each_product_once(model_e, monkeypatch):
+    # resuming 2 -> 3 -> 4 -> 5 multiplies d_1 d_2 first, then only the
+    # one product with the new differential at each step
+    products = []
+    orig = module_engine.matmul
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module_engine, "matmul", counting)
+    k = residue_field(model_e.ring)
+    for L in range(2, 6):
+        minimal_free_resolution(k, L)
+    assert minimal_free_resolution(k, 5).length == 5
+    assert len(products) == 4
+
+
+def test_resolution_resume_checks_new_differentials(monkeypatch):
+    # a kernel that is wrong on resuming makes the next differential
+    # wrong, and its product with the cached one is still checked
+    ring = load_model("c.json").ring
+    k = residue_field(ring)
+    minimal_free_resolution(k, 2)
+    orig = module_engine._kernel_columns
+
+    def corrupting(*args, **kwargs):
+        cols, gb = orig(*args, **kwargs)
+        for col in cols:
+            t = next(iter(col))
+            col[t] = col[t] * 2 % ring.p
+        return cols, gb
+
+    monkeypatch.setattr(module_engine, "_kernel_columns", corrupting)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"d_2 \. d_3 is nonzero"):
+        minimal_free_resolution(k, 4)
+
+
 def _assert_last_step_exact(M, top):
     """For L = 1..top, a fresh resolution of M to L equals the first L
     steps of a fresh one to L + 1: ranks and differentials. The last kernel
@@ -266,7 +309,7 @@ def test_truncated_last_kernel_on_graded_modules(weights, data):
     ring = RingModel(ENGINE_P, ["x", "y", "z"][:len(weights)],
                      weights=weights)
     gens = data.draw(graded_module_gens(weights))
-    M = PresentedModule(ring, 5, gens)
+    M = PresentedModule(ring, 5, [packed(ring.ctx, g) for g in gens])
     _assert_shifts_grade(ring, M.columns, 5)
     _assert_last_step_exact(M, 4)
 
@@ -453,7 +496,8 @@ def _ref_tor(M, N, i):
     res = minimal_free_resolution(M, i + 1)
     terms = [module_engine._tensor_presented(N, res.rank(j))
              for j in range(i + 2)]
-    maps = [module_engine.kron_identity(res.differential(j), N.ambient_rank)
+    maps = [module_engine.kron_identity(M.ring, res.differential(j),
+                                        N.ambient_rank)
             for j in range(1, i + 2)]
     return _ref_homology(M.ring, terms, maps, i)
 
@@ -463,7 +507,8 @@ def _ref_ext(M, N, i):
     terms = [module_engine._tensor_presented(N, res.rank(j))
              for j in range(i + 2)]
     maps = [module_engine.kron_identity(
-                module_engine.transpose(res.differential(j), res.rank(j - 1)),
+                M.ring, module_engine.transpose(M.ring, res.differential(j),
+                                                res.rank(j - 1)),
                 N.ambient_rank)
             for j in range(1, i + 2)]
     out_map = maps[i] if res.rank(i + 1) else None
@@ -488,8 +533,9 @@ def _ref_koszul_homology(elements, M, i):
                 sign = 1 if t % 2 == 0 else p - 1
                 for m, coeff in elements[var].terms.items():
                     col[(row, m)] = coeff * sign % p
-            koszul.append(col)
-        maps.append(module_engine.kron_identity(koszul, M.ambient_rank))
+            koszul.append(packed(ring.ctx, col))
+        maps.append(module_engine.kron_identity(ring, koszul,
+                                                M.ambient_rank))
     return _ref_homology(ring, terms, maps, i)
 
 
@@ -524,7 +570,8 @@ def _seeded_basis_is_fresh(M):
     fresh = PresentedModule(M.ring, M.ambient_rank, M.columns)
     gb = M.relations_groebner()
     ref = module_groebner(list(M.columns), M.ambient_rank, M.ring)
-    assert gb.leads == ref.leads and gb.index.elems == ref.index.elems
+    assert gb.index.leads == ref.index.leads
+    assert gb.index.elems == ref.index.elems
     assert module_length(M) == module_length(fresh)
     assert M.is_zero() == fresh.is_zero()
 
@@ -665,8 +712,9 @@ def composable_pair(draw, ring):
             draw(graded_rows(ring, col_a, col_b)))
 
 
-def _columns(rows):
-    return [flat([row[j] for row in rows]) for j in range(len(rows[0]))]
+def _columns(ring, rows):
+    return [column(ring, [row[j] for row in rows])
+            for j in range(len(rows[0]))]
 
 
 def _assert_shifts_grade(ring, cols, nrows):
@@ -674,7 +722,8 @@ def _assert_shifts_grade(ring, cols, nrows):
     shifts = module_engine._require_graded(ring, cols, nrows)
     assert len(shifts) == nrows
     for col in cols:
-        assert len({shifts[i] + ring.ctx.wdeg(m) for i, m in col}) <= 1
+        assert len({shifts[i] + ring.ctx.wdeg(m)
+                    for i, m, _ in ring.ctx.unpack(col)}) <= 1
 
 
 @pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
@@ -682,8 +731,8 @@ def _assert_shifts_grade(ring, cols, nrows):
 @given(data=st.data())
 def test_weighted_graded_matrices(ring, data):
     a, b = data.draw(composable_pair(ring))
-    _assert_shifts_grade(ring, _columns(a), len(a))
-    _assert_shifts_grade(ring, _columns(b), len(b))
+    _assert_shifts_grade(ring, _columns(ring, a), len(a))
+    _assert_shifts_grade(ring, _columns(ring, b), len(b))
 
     # flat matmul against entrywise Polynomial products reduced by ring.nf
     expected = []
@@ -694,8 +743,8 @@ def test_weighted_graded_matrices(ring, data):
             for j in range(len(b)):
                 acc = acc + a[i][j] * b[j][k]
             col.append(ring.nf(acc))
-        expected.append(flat(col))
-    assert matmul(ring, _columns(a), _columns(b)) == expected
+        expected.append(column(ring, col))
+    assert matmul(ring, _columns(ring, a), _columns(ring, b)) == expected
 
     M = PresentedModule.from_rows(ring, a)
     if ring is WEIGHTED and not M.is_zero():
@@ -732,7 +781,8 @@ def test_sweep_rewrites_kept_columns_through_later_rows():
     M = PresentedModule.from_rows(F5, [[P(F5, "x"), P(F5, "1")],
                                        [F5.zero(), P(F5, "-y")]])
     assert module_engine._minimalize_columns(
-        F5, list(M.columns), 2, Budget()) == ([{(0, (1, 1)): 1}], [1])
+        F5, list(M.columns), 2, Budget()) == \
+        ([packed(F5.ctx, {(0, (1, 1)): 1})], [1])
     assert min_generators(M) == 1
 
 
@@ -746,15 +796,16 @@ def _disguised(M, like, ops, scales, flip):
     ``scales`` (cycled) and, with ``flip``, the column order reversed.
     """
     ring, r = M.ring, M.ambient_rank
-    zero = ring.ctx.zero_mono
+    ctx = ring.ctx
     cols = [dict(col) for col in M.columns]
-    cols += [{(r + t, zero): 1} for t in range(len(like))]
+    cols += [packed(ctx, {(r + t, ctx.zero_mono): 1})
+             for t in range(len(like))]
     for i, j, c in ops:
         for col in cols:
-            module_engine.col_axpy(
-                col, c, zero,
-                {(i, m): a for (pos, m), a in col.items() if pos == j},
-                ring.p)
+            row_j = {(pos, m): a for pos, m, a in ctx.unpack(col) if pos == j}
+            vec_axpy(col, c, 0,
+                     packed(ctx, {(i, m): a for (_, m), a in row_j.items()}),
+                     ring.p)
     cols = [vec_scale(col, scales[k % len(scales)], ring.p)
             for k, col in enumerate(cols)]
     return PresentedModule(ring, r + len(like), cols[::-1] if flip else cols)
@@ -768,7 +819,8 @@ def _check_minimalization(M, D, budget):
         D, [ring.variable(i) for i in range(len(ring.variables))])
     assert Dm.ambient_rank == module_length(mD, budget) == \
         min_generators(M, budget)
-    assert all(m != ring.ctx.zero_mono for col in Dm.columns for _, m in col)
+    assert all(any(m) for col in Dm.columns
+               for _, m, _ in ring.ctx.unpack(col))
     assert module_engine._minimalize_columns(
         ring, list(Dm.columns), Dm.ambient_rank, budget) == \
         (list(Dm.columns), list(range(Dm.ambient_rank)))
