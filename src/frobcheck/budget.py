@@ -8,7 +8,8 @@ and the kappa scan ends at a degree its s.o.p.'s basis fixes. Limits are per
 top-level engine invocation, so a Budget is immutable and safe to share
 between threads. The optional cancel_check callable is polled before each
 reduction of the flat Groebner engine (S-pairs and tail reduction; a kernel
-is one such Groebner call); raise from it to cancel a long computation.
+is one such Groebner call) and before each row a module normal form reduces
+(``module_engine._nf``); raise from it to cancel a long computation.
 """
 
 from __future__ import annotations

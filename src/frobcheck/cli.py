@@ -44,7 +44,7 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
 from .invariants import cm_type_and_gorenstein, depth_of_ring
-from .module_engine import (PresentedModule, minimal_free_resolution,
+from .module_engine import (Matrix, PresentedModule, minimal_free_resolution,
                             minimalize, module_length)
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
@@ -324,15 +324,15 @@ def parse_model(data) -> ModelFile:
     return ModelFile(ring, modules, sops, canonical, digest)
 
 
-def _rendered_rows(M: PresentedModule) -> List[List[str]]:
+def _rendered_rows(ring: RingModel, cols: Matrix, nrows: int
+                   ) -> List[List[str]]:
     """Rendered entries row by row, read from the sparse columns."""
-    ring = M.ring
-    grid: List[Dict[int, dict]] = [{} for _ in range(M.ambient_rank)]
-    for j, col in enumerate(M.columns):
+    grid: List[Dict[int, dict]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
         for i, m, c in ring.ctx.unpack(col):
             grid[i].setdefault(j, {})[m] = c
     return [[ring.render_poly(Polynomial(ring, row[j])) if j in row else "0"
-             for j in range(len(M.columns))] for row in grid]
+             for j in range(len(cols))] for row in grid]
 
 
 def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
@@ -354,7 +354,7 @@ def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
         "modules": {
             name: {
                 "ambient_rank": m.ambient_rank,
-                "relations": _rendered_rows(m),
+                "relations": _rendered_rows(ring, m.columns, m.ambient_rank),
             }
             for name, m in sorted(modules.items())
         },
@@ -414,9 +414,11 @@ def _kappa_bound(mf: ModelFile, budget: Budget) -> Tuple[int, Dict[str, int]]:
     return min(per.values()), per
 
 
-def _matrix_lines(M: PresentedModule, indent: str) -> List[str]:
-    lines = [indent + "[" + ", ".join(row) + "]" for row in _rendered_rows(M)]
-    if not M.columns:
+def _matrix_lines(ring: RingModel, cols: Matrix, nrows: int, indent: str
+                  ) -> List[str]:
+    lines = [indent + "[" + ", ".join(row) + "]"
+             for row in _rendered_rows(ring, cols, nrows)]
+    if not cols:
         lines.append(indent + "(no relations)")
     return lines
 
@@ -477,9 +479,8 @@ def _payload_resolve(mf: ModelFile, name: str, length: int, budget: Budget,
     lines.append(f"  betti: {' '.join(map(str, betti))}")
     for i in range(1, min(res.length, length) + 1):
         lines.append(f"  d{i}:")
-        target = PresentedModule(mf.ring, res.rank(i - 1),
-                                 res.differential(i), budget)
-        lines.extend(_matrix_lines(target, "    "))
+        lines.extend(_matrix_lines(mf.ring, res.differentials[i - 1],
+                                   res.rank(i - 1), "    "))
     if tsv:
         lines.append("#tsv betti")
         lines.append("step\trank")
@@ -499,7 +500,7 @@ def _payload_frobenius(mf: ModelFile, name: str, n: int, budget: Budget,
     lines.append(f"  mu: {F.ambient_rank}")
     lines.append(f"  length: {_fmt(module_length(F, budget))}")
     lines.append("  presentation:")
-    lines.extend(_matrix_lines(F, "    "))
+    lines.extend(_matrix_lines(F.ring, F.columns, F.ambient_rank, "    "))
     return "\n".join(lines), 0
 
 

@@ -31,7 +31,10 @@ cancelled by a change of basis that deletes one source generator of the
 previous step (exactness is preserved because the cancelled pair splits off
 a trivial exact summand). The last recorded differential is pruned the same
 way, so its rank is a Betti number too; its kernel is computed only up to
-the top degree of its generators, as far as a unit entry can lie.
+the top degree of its generators, as far as a unit entry can lie. Each
+d_i d_(i+1) is checked there, once, not again on complexes built from it.
+Homology reads a module N only through relation bases (N^k's is shifted
+copies of N's), so N's columns are checked once, with its basis.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ def _nf(ring: RingModel, vec: PackedVec, budget: Budget) -> PackedVec:
         parts.setdefault(t >> pb, {})[t & top] = c
     out: PackedVec = {}
     for hi, part in parts.items():
+        budget.check_cancel()
         s = hi << pb    # -(row << pb)
         for k, c in reduce_full(part, G, ctx).items():
             out[k + s] = c
@@ -303,23 +307,21 @@ def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 
 
 def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
-                    target: "PresentedModule", budget: Budget,
+                    target: GroebnerBasis, budget: Budget,
                     units_only: bool = False
                     ) -> Tuple[Matrix, GroebnerBasis]:
-    """Vectors v with (lead_cols)v in the R-span of rest_cols and the
-    relations of ``target``, a module presented in R^rank.
+    """Vectors v with (lead_cols)v in the R-span of rest_cols and of
+    ``target``, the relation basis (padding included) of a module in R^rank.
 
-    The kernel K over S of [lead | rest | target relations | ideal padding]
-    eliminated onto the lead block (``syzygies_flat``). The relation basis
-    of ``target`` (for a free target, the padding itself) already holds
-    the relations and the padding as a reduced Groebner basis, so it is the
-    seed of that call and no S-pair forms inside it.
+    The kernel K over S of [lead | rest | target] eliminated onto the lead
+    block (``syzygies_flat``). ``target`` is a reduced Groebner basis, so it
+    is the seed of that call and no S-pair forms inside it.
 
     Returns the reduced Groebner basis of K normal-formed, with the vectors
     that vanish in R dropped (it generates the kernel read in R but need
     not be minimal), and that basis itself: K contains I S^nlead, so it is
     the relation basis of R^nlead modulo the returned columns.
-    [lead | rest | target relations] must be graded.
+    [lead | rest] must be graded; ``target`` was checked when computed.
 
     With ``units_only`` the call only serves to find unit entries. A
     homogeneous kernel vector with a unit at lead position j has the degree
@@ -329,9 +331,8 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
     entry, but need not generate the kernel, and neither does the returned
     basis.
     """
-    rank = target.ambient_rank
-    shifts = _require_graded(ring, list(lead_cols) + list(rest_cols)
-                             + list(target.columns), rank)
+    rank, cols = target.ambient_rank, list(lead_cols) + list(rest_cols)
+    shifts = _require_graded(ring, cols, rank)
     cap = None
     if units_only:
         ctx = ring.ctx
@@ -339,11 +340,8 @@ def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
         degs = [shifts[-(t >> ctx.pb)] + ((t & ctx.top) + ctx.mask
                                           >> ctx.shift) for t in heads]
         cap = shifts + degs, max(degs)
-    seed = target.relations_groebner(budget).index \
-        if target.columns else _ideal_padding(ring, rank, budget)
-    kernel = _engine.syzygies_flat(list(lead_cols) + list(rest_cols), rank,
-                                   len(lead_cols), ring.ctx, budget, seed,
-                                   cap)
+    kernel = _engine.syzygies_flat(cols, rank, len(lead_cols), ring.ctx,
+                                   budget, target.index, cap)
     out: Matrix = []
     for z in kernel.elems:
         col = _nf(ring, z, budget)
@@ -485,7 +483,8 @@ class FreeComplex:
     is F. ``tensor(N)`` gives coefficients; step i of F (x) N is then
     N^ranks[i] and its differential d_i (x) id. Construction checks that
     matrix shapes chain and, with ``verify``, that consecutive differentials
-    compose to zero modulo the ring ideal.
+    compose to zero modulo the ring ideal. The library's complexes come from
+    resolutions, which check each d_i d_(i+1) once, so it skips ``verify``.
     """
 
     __slots__ = ("ring", "ranks", "differentials", "coefficients")
@@ -541,9 +540,9 @@ class FreeComplex:
                     ) -> PresentedModule:
         """H_i(F (x) N) = ker(d_i (x) id) / im(d_{i+1} (x) id).
 
-        Builds only the terms it reads: N^rank(i), N^rank(i-1) (each built
-        once per N) and the two maps. A zero neighbouring step contributes
-        no map.
+        Builds only what it reads: the relation bases of N^rank(i) and
+        N^rank(i-1) (each built once per N) and the two maps. A zero
+        neighbouring step contributes no map.
         """
         if not (0 <= i <= max(self.length, 0)):
             raise ArgumentError(f"homology index {i} out of range")
@@ -575,12 +574,13 @@ def _check_composites(ring: RingModel, diffs: Sequence[Sequence[PackedVec]],
                 f"d_{i} . d_{i + 1} is nonzero modulo the ideal")
 
 
-def present_homology(ring: RingModel, mid: PresentedModule,
+def present_homology(ring: RingModel, mid: GroebnerBasis,
                      out_map: Optional[Matrix],
-                     out_target: Optional[PresentedModule],
+                     out_target: Optional[GroebnerBasis],
                      in_map: Optional[Matrix],
                      budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-    """Present ker(out_map)/im(in_map) at the presented module ``mid``.
+    """Present ker(out_map)/im(in_map) at a module given by its relation
+    basis ``mid``; ``out_target`` is the relation basis of out_map's target.
 
     The kernel is computed as a preimage: v is a cycle when out_map(v)
     lands in the relation submodule of the target. Its generators become
@@ -588,9 +588,9 @@ def present_homology(ring: RingModel, mid: PresentedModule,
     boundary or mid-relation in terms of the cycles plus the syzygies among
     the cycles, obtained from a single projected syzygy computation.
 
-    Both kernel calls take the relation basis of their target (``mid`` or
-    ``out_target``) as a ready seed, and the second call's kernel basis is
-    the homology's own relation basis, so it is cached on the result.
+    Both kernel calls take their target's basis as a ready seed, and the
+    second call's kernel basis is the homology's own relation basis, so it
+    is cached on the result. The complex's builder checked out_map * in_map.
     """
     rm = mid.ambient_rank
     if out_map is None or rm == 0:
@@ -641,9 +641,10 @@ def minimal_free_resolution(M: PresentedModule, length: int,
         diffs: List[Matrix] = [list(d) for d in res.differentials[:done]]
         while len(diffs) < length and cur:
             last = len(diffs) + 1 == length
-            syz, _ = _kernel_columns(
-                M.ring, cur, [], PresentedModule.free(M.ring, ranks[-1]),
-                budget, units_only=last)
+            free = GroebnerBasis(M.ring, ranks[-1],
+                                 _ideal_padding(M.ring, ranks[-1], budget))
+            syz, _ = _kernel_columns(M.ring, cur, [], free, budget,
+                                     units_only=last)
             # unit entries in the kernel mean cur's columns were a redundant
             # generating set; cancelling them drops matching columns of cur
             syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)
@@ -666,37 +667,33 @@ def minimal_free_resolution(M: PresentedModule, length: int,
 # Koszul complexes, Tor, Ext
 
 def _tensor_presented(N: PresentedModule, k: int,
-                      budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-    """N^k with generator (free index b, N index j) at position b*rN + j,
-    cached on N.
+                      budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
+    """The relation basis of N^k, generator (free index b, N index j) at
+    position b*rN + j, cached on N.
 
-    Its relation basis is k shifted copies of N's, cached with it: a copy's
-    vectors stay inside their block of positions, so no S-pair or reduction
-    ever mixes two blocks and the copies together form the reduced basis.
-    They are listed by block, last block first, which is the order by lead
-    that ``buchberger_flat`` returns. A packed copy moves to block b by
-    subtracting (b * rN) << pb. Only N's own basis costs a Buchberger call.
-    A free N^k needs no basis: ``_kernel_columns`` seeds with the padding.
+    It is k shifted copies of N's basis: a copy's vectors stay inside
+    their block of positions, so no S-pair or reduction ever mixes two
+    blocks and the copies together form the reduced basis. They are listed
+    by block, last block first, which is the order by lead that
+    ``buchberger_flat`` returns. A packed copy moves to block b by
+    subtracting (b * rN) << pb. Only N's own basis costs a Buchberger call,
+    and it checks that N is graded. A free N^k's basis is the ideal padding.
     """
     key = ("tensor", k)
-    Nk = N._cache.get(key)
-    if Nk is None:
-        rn, pb = N.ambient_rank, N.ring.ctx.pb
-        cols: Matrix = []
-        for b in range(k):
-            s = (b * rn) << pb
-            for col in N.columns:
-                cols.append({t - s: c for t, c in col.items()})
-        Nk = N._cache[key] = PresentedModule(N.ring, k * rn, cols)
+    gb = N._cache.get(key)
+    if gb is None:
+        ring, rn = N.ring, N.ambient_rank
         if k and N.columns:
-            gb = N.relations_groebner(budget).index
-            copies = GIndex(N.ring.ctx)
+            base = N.relations_groebner(budget).index
+            copies = GIndex(ring.ctx)
             for b in reversed(range(k)):
-                s = (b * rn) << N.ring.ctx.pb
-                for vec, lead in zip(gb.elems, gb.leads):
+                s = (b * rn) << ring.ctx.pb
+                for vec, lead in zip(base.elems, base.leads):
                     copies.add({t - s: c for t, c in vec.items()}, lead - s)
-            Nk._cache["gb"] = GroebnerBasis(N.ring, k * rn, copies)
-    return Nk
+        else:
+            copies = _ideal_padding(ring, k * rn, budget)
+        gb = N._cache[key] = GroebnerBasis(ring, k * rn, copies)
+    return gb
 
 
 def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcheck import (ArgumentError, Polynomial, PresentedModule,
-                       PreconditionError, RingModel, bracket_power, buchberger,
+from frobcheck import (ArgumentError, FreeComplex, InternalConsistencyError,
+                       Polynomial, PresentedModule, PreconditionError,
+                       RingModel, bracket_power, buchberger,
                        colength_and_standard_monomials, frobenius_complex,
                        frobenius_module, is_sop, kappa_for_sop,
                        kappa_upper_bound, minimal_free_resolution, minimalize,
@@ -14,7 +15,10 @@ from frobcheck._engine import DEGREE_LIMIT
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial
 from frobcheck.errors import BudgetExceededError
-from conftest import load_model, monomials_of_degree
+from frobcheck.frobenius import _bracket
+from frobcheck.module_engine import matmul
+from conftest import load_model, monomials_of_degree, packed
+from test_module_engine import RING_D, WEIGHTED, graded_rows
 
 
 def P(ring, s):
@@ -72,10 +76,86 @@ def test_frobenius_length_matches_bracket_power_colength(model_b):
 # ---------------------------------------------------------------------------
 # the functor on complexes
 
+def _is_complex(C):
+    """Whether consecutive differentials compose to zero modulo I."""
+    return not any(any(matmul(C.ring, C.differential(i),
+                              C.differential(i + 1)))
+                   for i in range(1, C.length))
+
+
 def test_frobenius_complex_still_a_complex(model_b):
+    # frobenius_complex builds without multiplying its differentials, so
+    # d.d = 0 is checked here
     res = minimal_free_resolution(residue_field(model_b.ring), 3)
-    fc = frobenius_complex(res, 1)   # constructor verifies d.d = 0
+    fc = frobenius_complex(res, 1)
     assert fc.ranks == res.ranks
+    assert _is_complex(fc)
+
+
+def test_hand_built_complex_is_verified(model_a):
+    # a complex given from outside is still checked on construction
+    A = model_a.ring
+    x, y = ({(0, m): 1} for m in ((1, 0), (0, 1)))
+    d1, d2 = [packed(A.ctx, x)], [packed(A.ctx, y)]
+    with pytest.raises(InternalConsistencyError,
+                       match=r"d_1 \. d_2 is nonzero"):
+        FreeComplex(A, [1, 1, 1], [d1, d2])
+    assert FreeComplex(A, [1, 1, 1], [d1, d2], verify=False).length == 2
+
+
+def _entries(ring, cols):
+    """{(row, column): Polynomial} of the nonzero entries of a matrix."""
+    terms = {}
+    for j, col in enumerate(cols):
+        for i, m, c in ring.ctx.unpack(col):
+            terms.setdefault((i, j), {})[m] = c
+    return {k: Polynomial(ring, t) for k, t in terms.items()}
+
+
+def test_bracket_is_the_entrywise_power(corpus):
+    # every entry of [d] is the q-th power of d's entry, as Polynomial
+    # arithmetic over S computes it
+    for mf in corpus.values():
+        ring = mf.ring
+        res = minimal_free_resolution(residue_field(ring), 3)
+        for d in res.differentials:
+            ref = _entries(ring, d)
+            for n in (1, 2):
+                q = ring.p ** n
+                got = _entries(ring, _bracket(ring, d, q))
+                assert got == {k: e ** q for k, e in ref.items()}
+
+
+def test_bracket_past_the_degree_ceiling_raises():
+    # q * wdeg(x^4096) = 8 * 4096 passes the ceiling 32767; 8 * 4095 not
+    R = RingModel(2, ["x", "y"])
+    ok = [packed(R.ctx, {(1, (4095, 0)): 1})]
+    assert _entries(R, _bracket(R, ok, 8)) == \
+        {(1, 0): R.variable(0) ** (8 * 4095)}
+    with pytest.raises(BudgetExceededError, match="packed_degree"):
+        _bracket(R, [packed(R.ctx, {(0, (4096, 0)): 1})], 8)
+
+
+def test_frobenius_twist_of_corpus_resolutions_is_a_complex(corpus):
+    for mf in corpus.values():
+        for M in mf.modules.values():
+            res = minimal_free_resolution(M, 4)
+            for n in (1, 2, 3):
+                assert _is_complex(frobenius_complex(res, n))
+
+
+@pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_frobenius_twist_of_generated_resolutions_is_a_complex(ring, data):
+    r, t = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    shifts = [data.draw(st.integers(0, 2)) for _ in range(r)]
+    degrees = [data.draw(st.integers(2, 8)) for _ in range(t)]
+    M = PresentedModule.from_rows(
+        ring, data.draw(graded_rows(ring, shifts, degrees)))
+    res = minimal_free_resolution(M, 3)
+    for n in (1, 2, 3):
+        assert _is_complex(frobenius_complex(res, n))
 
 
 def test_frobenius_complex_regular_ring_exact(model_a):

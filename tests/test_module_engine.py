@@ -14,6 +14,7 @@ from frobcheck import (ArgumentError, INFINITE, InternalConsistencyError,
                        module_length, residue_field, ring_as_module, tor)
 from frobcheck import module_engine
 from frobcheck._engine import reduce_full, vec_axpy, vec_scale
+from frobcheck.algebra_kernel import GroebnerBasis
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.criteria import pd_is_finite
@@ -67,10 +68,12 @@ def vecs_equal_span(ring, rank, gens_a, gens_b):
 
 
 def kernel(ring, vecs, rank):
-    """Kernel columns of the map R^len(vecs) -> R^rank."""
+    """Kernel columns of the map R^len(vecs) -> R^rank; the target R^rank
+    is given by its relation basis, the ideal padding."""
+    free = GroebnerBasis(ring, rank,
+                         module_engine._ideal_padding(ring, rank, Budget()))
     return module_engine._kernel_columns(
-        ring, [column(ring, v) for v in vecs], [],
-        PresentedModule.free(ring, rank), Budget())[0]
+        ring, [column(ring, v) for v in vecs], [], free, Budget())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,17 @@ def test_entry_points_reject_ungraded_matrices(A):
     K = koszul_complex([P(A, "x+y^2")], ring_as_module(A))
     with pytest.raises(ArgumentError, match="graded structure"):
         K.homology_at(1)
+
+
+def test_homology_rejects_ungraded_coefficients(B):
+    # homology reads N only through its relation basis, whose computation
+    # checks N's columns; x + y^2 admits no degree shifts
+    N = PresentedModule(B, 1, [column(B, [P(B, "x+y^2")])])
+    k = residue_field(B)
+    with pytest.raises(ArgumentError, match="graded structure"):
+        tor(k, N, 1)
+    with pytest.raises(ArgumentError, match="graded structure"):
+        ext(k, N, 1)
 
 
 def test_flat_columns_outside_ambient_rank_rejected(A):
@@ -272,6 +286,26 @@ def test_resolution_resume_checks_new_differentials(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=r"d_2 \. d_3 is nonzero"):
         minimal_free_resolution(k, 4)
+
+
+class Cancelled(Exception):
+    pass
+
+
+def test_cancel_polled_in_module_normal_forms(model_c):
+    # with the ideal basis already cached, products and the constructor
+    # reduce without a Groebner call; their normal forms poll cancel_check
+    ring = model_c.ring
+    res = minimal_free_resolution(residue_field(ring), 2)
+
+    def cancel():
+        raise Cancelled()
+
+    budget = Budget(cancel_check=cancel)
+    with pytest.raises(Cancelled):
+        matmul(ring, res.differential(1), res.differential(2), budget)
+    with pytest.raises(Cancelled):
+        PresentedModule(ring, res.rank(0), res.differential(1), budget)
 
 
 def _assert_last_step_exact(M, top):
@@ -564,6 +598,17 @@ def test_homology_matches_the_eager_reference_wiring(corpus):
                                _ref_koszul_homology(xs, N, i))
 
 
+def _tensor_power(N, k):
+    """N^k presented by shifted copies of N's columns, built here, with the
+    relation basis ``_tensor_presented`` gives cached on it."""
+    pb = N.ring.ctx.pb
+    cols = [{t - ((b * N.ambient_rank) << pb): c for t, c in col.items()}
+            for b in range(k) for col in N.columns]
+    Nk = PresentedModule(N.ring, k * N.ambient_rank, cols)
+    Nk._cache["gb"] = module_engine._tensor_presented(N, k)
+    return Nk
+
+
 def _seeded_basis_is_fresh(M):
     # a relation basis cached without a Buchberger call is the one a fresh
     # computation from the columns gives, and so are length and vanishing
@@ -574,6 +619,19 @@ def _seeded_basis_is_fresh(M):
     assert gb.index.elems == ref.index.elems
     assert module_length(M) == module_length(fresh)
     assert M.is_zero() == fresh.is_zero()
+
+
+def test_free_tensor_power_basis_is_the_padding(corpus):
+    # a free N^k's basis is GB(I) at every position: the elements of a
+    # fresh basis, listed by element and position rather than by lead
+    for mf in corpus.values():
+        free = PresentedModule.free(mf.ring, 2)
+        for k in (0, 1, 3):
+            pads = module_engine._tensor_presented(free, k).index
+            ref = module_groebner([], 2 * k, mf.ring).index
+            assert dict(zip(pads.leads, pads.elems)) == \
+                dict(zip(ref.leads, ref.elems))
+            assert len(pads.leads) == len(ref.leads)
 
 
 def test_seeded_relation_bases_equal_fresh_ones(corpus):
@@ -588,7 +646,7 @@ def test_seeded_relation_bases_equal_fresh_ones(corpus):
         xs = [ring.variable(j) for j in range(len(ring.variables))]
         for N in mods:
             for k in (1, 2, 3):
-                _seeded_basis_is_fresh(module_engine._tensor_presented(N, k))
+                _seeded_basis_is_fresh(_tensor_power(N, k))
             K = koszul_complex(xs, N)
             for i in range(3):
                 _seeded_basis_is_fresh(K.homology_at(i))
