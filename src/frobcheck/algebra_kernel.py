@@ -472,16 +472,20 @@ def _divide_one_minus_t(k: List[int]) -> Optional[List[int]]:
     return list(accumulate(k[:-1]))
 
 
-def standard_monomials(leads: Sequence[Mono], nvars: int):
-    """Number of monomials outside the ideal J generated by ``leads``.
+def standard_monomials(leads: Sequence[Mono], nvars: int,
+                       inside: Optional[Sequence[Mono]] = None):
+    """Number of monomials outside the ideal J generated by ``leads`` or,
+    with ``inside``, outside J but inside the ideal J' >= J it generates.
 
     Returns INFINITE when there are infinitely many. The count is the
-    value at t = 1 of the Hilbert series K(t) / (1 - t)^nvars of S/J, which
-    is a polynomial exactly when (1 - t)^nvars divides K. The unit grading
-    suffices: the monomials outside J, and hence their number, do not
-    depend on the weights.
+    value at t = 1 of the Hilbert series K(t) / (1 - t)^nvars of S/J, or
+    of J'/J with K = K(J) - K(J'); it is a polynomial exactly when
+    (1 - t)^nvars divides K. The unit grading suffices: the monomials
+    counted, and hence their number, do not depend on the weights.
     """
     k = _k_polynomial(leads)
+    if inside is not None:
+        k = _add_shifted(k, [-c for c in _k_polynomial(inside)], 0)
     for _ in range(nvars):
         k = _divide_one_minus_t(k)
         if k is None:
@@ -560,8 +564,8 @@ def qth_root_decompose(f: Polynomial, q: int) -> Dict[Mono, Polynomial]:
     Each exponent splits as q*quotient + residue; the component at residue a
     collects the quotient parts. Since coefficients lie in F_p and q is a
     power of p, G_a(x^q) equals G_a(x)^q, so the components are also the
-    q-th-root coefficients used for pushforward relations. Residues with no
-    terms are absent from the result.
+    q-th-root coefficients of f over F_p[x^q]. Residues with no terms are
+    absent from the result.
     """
     ring = f.ring
     if not is_power_of(q, ring.p):

@@ -1,15 +1,15 @@
 """Resource budgets.
 
-Every potentially unbounded computation (Buchberger loops, minor enumeration,
-pushforward construction) checks one of these limits and aborts with a
-BudgetExceededError naming the budget instead of running unbounded. Bounded
-work needs none: the packed terms of the Groebner engine cap weighted degrees,
-and the kappa scan ends at a degree its s.o.p.'s basis fixes. Limits are per
-top-level engine invocation, so a Budget is immutable and safe to share
-between threads. The optional cancel_check callable is polled before each
-reduction of the flat Groebner engine (S-pairs and tail reduction; a kernel
-is one such Groebner call) and before each row a module normal form reduces
-(``module_engine._nf``); raise from it to cancel a long computation.
+Every potentially unbounded computation (Buchberger loops, minor enumeration)
+checks one of these limits and aborts with a BudgetExceededError naming the
+budget. Bounded work needs none: packed terms cap weighted degrees, the kappa
+scan ends at a degree its s.o.p.'s basis fixes, and f^n R has at most q^v
+generators. Limits are per top-level engine invocation, so a Budget is
+immutable and safe to share between threads. The optional cancel_check
+callable is polled before each reduction of the flat Groebner engine (S-pairs
+and tail reduction; a kernel is one such Groebner call), before each row a
+module normal form reduces (``module_engine._nf``) and at each residue of the
+pushforward walk; raise from it to cancel a long computation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import BudgetExceededError
 class Budget:
     max_basis: int = 20000
     max_spairs: int = 1_000_000
-    max_pushforward_generators: int = 64
     max_minors: int = 100_000
     cancel_check: Optional[Callable[[], None]] = None
 
@@ -44,12 +43,6 @@ class Budget:
     def check_minors(self, count: int) -> None:
         if count > self.max_minors:
             raise BudgetExceededError("max_minors", self.max_minors)
-
-    def check_pushforward(self, generators: int) -> None:
-        if generators > self.max_pushforward_generators:
-            raise BudgetExceededError("max_pushforward_generators",
-                                      self.max_pushforward_generators,
-                                      f"q^v = {generators}")
 
 
 DEFAULT_BUDGET = Budget()

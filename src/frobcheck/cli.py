@@ -374,7 +374,6 @@ def render_model(mf: ModelFile) -> str:
 _ENV_FIELDS = {
     "FROBCHECK_MAX_SPAIRS": "max_spairs",
     "FROBCHECK_MAX_BASIS": "max_basis",
-    "FROBCHECK_MAX_PUSHFORWARD_GENS": "max_pushforward_generators",
     "FROBCHECK_MAX_MINORS": "max_minors",
 }
 
@@ -682,12 +681,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None   # built on the first run, then reused
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one command line; prints the report, returns the exit code."""
     started = time.monotonic()
-    ap = _build_parser()
+    global _parser
+    _parser = _parser or _build_parser()
     try:
-        args = ap.parse_args(list(argv))
+        args = _parser.parse_args(list(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

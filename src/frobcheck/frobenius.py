@@ -4,8 +4,8 @@ presentation, and certified upper bounds for the kappa invariant.
 The functor raises every entry of a presentation matrix to the q-th power
 (q = p^n); on a minimal presentation this is again a minimal presentation
 of the base-changed module. The pushforward realizes R viewed through the
-n-th Frobenius as a finite R-module on q^v generators indexed by exponent
-residues, with relations read off from q-th-root decompositions. Tor
+n-th Frobenius as a finite R-module on generators indexed by its standard
+residues, with relations read off from normal forms of monomials. Tor
 against the Frobenius has the two spec'd realizations; their lengths must
 agree, which tor_frobenius can enforce in one call.
 """
@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence, Tuple
 
-from ._engine import DEGREE_LIMIT, past_ceiling
-from .algebra_kernel import Polynomial, RingModel, normal_form
+from ._engine import (DEGREE_LIMIT, Mono, mono_divides, past_ceiling,
+                      reduce_full)
+from .algebra_kernel import (Polynomial, RingModel, _minimal_monomials,
+                             normal_form)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
@@ -99,16 +100,14 @@ def frobenius_complex(G: FreeComplex, n: int) -> FreeComplex:
 
 
 class PushforwardModule:
-    """f^n R presented on generators e_a indexed by residues a in [0,q)^v.
-
-    ``presentation`` is the raw q^v-generator presentation; ``minimalized``
-    caches the pruned form used for Tor/Ext computations.
-    """
+    """f^n R presented on generators e_a, one per standard residue a in
+    [0,q)^v (x^a outside in(I)); ``minimalized`` caches the pruned form
+    used for Tor/Ext computations."""
 
     __slots__ = ("presentation", "residues", "power")
 
     def __init__(self, presentation: PresentedModule,
-                 residues: Tuple[Tuple[int, ...], ...], power: FrobeniusPower):
+                 residues: Tuple[Mono, ...], power: FrobeniusPower):
         self.presentation = presentation
         self.residues = residues
         self.power = power
@@ -125,34 +124,47 @@ class PushforwardModule:
 def pushforward_presentation(ring: RingModel, n: int,
                              budget: Budget = DEFAULT_BUDGET
                              ) -> PushforwardModule:
-    """Present f^n R on the residue generators.
+    """Present f^n R on its standard residues a, e_a standing for x^a.
 
-    For each ideal generator g and each residue a, the q-th-root
-    decomposition of g * x^a yields one relation: the components G_b are
-    the coefficients of e_b, because the reconstruction identity over F_p
-    makes G_b(x)^q x^b sum to g x^a exactly. A term x^e of g * x^a lands
-    in G_b with b = e mod q and exponent e div q.
+    A standard x^e is x^(e div q) e_(e mod q), so these generate. Each
+    standard a and minimal d with x^(qd+a) in in(I) give the relation
+    x^d e_a - sum c_e x^(e div q) e_(e mod q) over NF(x^(qd+a)) = sum c_e
+    x^e. Rewriting by them lowers x^(qd+a), down to terms with distinct
+    standard images, so they generate the kernel.
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
     fp = FrobeniusPower.of(ring, n)
-    v = len(ring.variables)
-    count = fp.q ** v
-    budget.check_pushforward(count)
-    residues = tuple(product(range(fp.q), repeat=v))
+    q, p, ctx = fp.q, ring.p, ring.ctx
+    gb = ring.ideal_groebner(budget).index
+    leads = gb.lead_monos()
+    # a tree walk of the standard residues, not of the box: a child raises
+    # an entry at or after its parent's last nonzero one
+    residues = [(0,) * len(ring.variables)]
+    for a in residues:
+        budget.check_cancel()
+        for i in range(max((i for i, e in enumerate(a) if e), default=0),
+                       len(a)):
+            b = a[:i] + (a[i] + 1,) + a[i + 1:]
+            if b[i] < q and not any(mono_divides(m, b) for m in leads):
+                residues.append(b)
+    residues.sort()
     index = {a: k for k, a in enumerate(residues)}
-    q = fp.q
     cols: Matrix = []
-    for g in ring.ideal_gens:
-        for a in residues:
-            terms = []
-            for m, c in g.terms.items():
-                e = [x + y for x, y in zip(m, a)]
-                terms.append((index[tuple(x % q for x in e)],
-                              tuple(x // q for x in e), c))
-            cols.append(ring.ctx.pack(terms))
-    pres = PresentedModule(ring, count, cols, budget)
-    return PushforwardModule(pres, residues, fp)
+    for k, a in enumerate(residues):
+        # x^(qd + a) is in in(I) iff d >= ceil((m - a) / q) for a lead m
+        for d in _minimal_monomials(tuple(max(-((a_i - m_i) // q), 0)
+                                          for m_i, a_i in zip(m, a))
+                                    for m in leads):
+            e = tuple(q * d_i + a_i for d_i, a_i in zip(d, a))
+            terms = [(k, d, 1)]
+            for _, m, c in ctx.unpack(reduce_full({ctx.mono_key(e): 1}, gb,
+                                                  ctx)):
+                terms.append((index[tuple(x % q for x in m)],
+                              tuple(x // q for x in m), p - c))
+            cols.append(ctx.pack(terms))
+    pres = PresentedModule(ring, len(residues), cols, budget)
+    return PushforwardModule(pres, tuple(residues), fp)
 
 
 def cached_pushforward(ring: RingModel, n: int,

@@ -147,7 +147,8 @@ def _require_graded(ring: RingModel, cols: Matrix, nrows: int
 def _ideal_padding(ring: RingModel, rank: int, budget: Budget) -> GIndex:
     """GB(I) times each unit vector of S^rank: the reduced Groebner basis of
     I S^rank, so it enters ``buchberger_flat`` as a seed. The packed
-    vectors of GB(I) move to position j by subtracting j << pb."""
+    vectors of GB(I) move to position j by subtracting j << pb. They are
+    in lead order within each position only, as seeds and leads read them."""
     pads = GIndex(ring.ctx)
     if not ring.ideal_gens:
         return pads
@@ -206,7 +207,7 @@ class PresentedModule:
     invisible memoization.
     """
 
-    __slots__ = ("ring", "ambient_rank", "columns", "_cache")
+    __slots__ = ("ring", "ambient_rank", "_columns", "_cache")
 
     def __init__(self, ring: RingModel, ambient_rank: int,
                  columns: Sequence[PackedVec], budget: Budget = DEFAULT_BUDGET):
@@ -219,8 +220,14 @@ class PresentedModule:
             nf = _nf(ring, col, budget)
             if nf:
                 cleaned.append(nf)
-        self.columns = tuple(cleaned)
+        self._columns = tuple(cleaned)
         self._cache: dict = {}
+
+    @property
+    def columns(self) -> Tuple[PackedVec, ...]:
+        if callable(self._columns):   # a homology module's, built on demand
+            self._columns = self._columns()
+        return self._columns
 
     @classmethod
     def free(cls, ring: RingModel, rank: int) -> "PresentedModule":
@@ -253,22 +260,27 @@ class PresentedModule:
         return len(self.columns)
 
     def relations_groebner(self, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
+        cols = self.columns   # a homology module caches its basis with them
         gb = self._cache.get("gb")
         if gb is None:
-            gb = module_groebner(self.columns, self.ambient_rank, self.ring,
-                                 budget)
+            gb = module_groebner(cols, self.ambient_rank, self.ring, budget)
             self._cache["gb"] = gb
         return gb
 
     def is_zero(self, budget: Budget = DEFAULT_BUDGET) -> bool:
         """M = 0 iff every position j has the unit term, packed as
         -(j << pb), among the leads of the relation basis (else some e_j is
-        its own normal form)."""
+        its own normal form), for a plain module Z = S^r. A homology module
+        Z/(B + K) is zero iff the bases of Z and B + K have the same leads,
+        since B + K lies in Z."""
         if self.ambient_rank == 0:
             return True
-        pb = self.ring.ctx.pb
-        leads = set(self.relations_groebner(budget).index.leads)
-        return all(-(j << pb) in leads for j in range(self.ambient_rank))
+        cycles, bounds = self._cache.get("subquotient") or (
+            None, self.relations_groebner(budget))
+        leads, pb = set(bounds.index.leads), self.ring.ctx.pb
+        if cycles is not None:
+            return set(cycles.index.leads) == leads
+        return all(-(j << pb) in leads for j in range(bounds.ambient_rank))
 
     def __repr__(self) -> str:
         return (f"PresentedModule(rank={self.ambient_rank}, "
@@ -454,15 +466,23 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
     padding inside the relation basis makes each position's leading ideal
     contain the leading ideal of I. The unit grading suffices: the count
     does not depend on the weights, nor on the positions' degree shifts.
+    Likewise a homology module Z/(B + K) counts, per position, the
+    monomials of in(Z) outside in(B + K).
     """
     if M.ambient_rank == 0:
         return 0
     cached = M._cache.get("length")
     if cached is None:
         nvars = len(M.ring.variables)
+        cycles, bounds = M._cache.get("subquotient") or (
+            None, M.relations_groebner(budget))
+        insides = cycles.leads_by_position() if cycles is not None \
+            else [None] * bounds.ambient_rank
         total = 0
-        for leads in M.relations_groebner(budget).leads_by_position():
-            count = standard_monomials(leads, nvars)
+        for leads, inside in zip(bounds.leads_by_position(), insides):
+            if leads == inside:     # both sorted by lead
+                continue
+            count = standard_monomials(leads, nvars, inside)
             if count is INFINITE:
                 total = INFINITE
                 break
@@ -579,29 +599,37 @@ def present_homology(ring: RingModel, mid: GroebnerBasis,
                      out_target: Optional[GroebnerBasis],
                      in_map: Optional[Matrix],
                      budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-    """Present ker(out_map)/im(in_map) at a module given by its relation
-    basis ``mid``; ``out_target`` is the relation basis of out_map's target.
-
-    The kernel is computed as a preimage: v is a cycle when out_map(v)
-    lands in the relation submodule of the target. Its generators become
-    the ambient basis of the homology; relations are every expression of a
-    boundary or mid-relation in terms of the cycles plus the syzygies among
-    the cycles, obtained from a single projected syzygy computation.
-
-    Both kernel calls take their target's basis as a ready seed, and the
-    second call's kernel basis is the homology's own relation basis, so it
-    is cached on the result. The complex's builder checked out_map * in_map.
+    """H = Z/(B + K): Z = ker(out_map), B = im(in_map), K the relations
+    in ``mid`` (padding included); ``out_target`` is the relation basis of
+    out_map's target. Z is a preimage, one kernel call; B + K one Buchberger
+    call seeded with ``mid``; both take columns in normal form. ``is_zero``
+    and ``module_length`` read the leads of both; the presentation on the
+    cycles takes a second kernel call, made when ``columns`` is first
+    read. The complex's builder checked out_map * in_map, so B lies in Z.
     """
-    rm = mid.ambient_rank
-    if out_map is None or rm == 0:
-        kcols: Matrix = [{-(j << ring.ctx.pb): 1} for j in range(rm)]
+    rm, ctx = mid.ambient_rank, ring.ctx
+    if out_map is None or rm == 0:     # Z is all of S^rm
+        kcols, cycles = [{-(j << ctx.pb): 1} for j in range(rm)], None
     else:
-        kcols, _ = _kernel_columns(ring, out_map, [], out_target, budget)
+        out_cols = [_nf(ring, col, budget) for col in out_map]
+        kcols, cycles = _kernel_columns(ring, out_cols, [], out_target, budget)
     if not kcols:
         return PresentedModule.free(ring, 0)
-    rels, gb = _kernel_columns(ring, kcols, list(in_map or []), mid, budget)
-    H = PresentedModule(ring, len(kcols), rels, budget)
-    H._cache["gb"] = gb
+    in_cols = [_nf(ring, col, budget) for col in in_map or ()]
+    bounds = mid
+    if in_cols:
+        _require_graded(ring, in_cols, rm)
+        bounds = GroebnerBasis(ring, rm, _engine.buchberger_flat(
+            in_cols, ctx, budget, mid.index).index)
+    H = PresentedModule.free(ring, len(kcols))
+    H._cache["subquotient"] = cycles, bounds
+
+    def build() -> Tuple[PackedVec, ...]:
+        rels, H._cache["gb"] = _kernel_columns(ring, kcols, in_cols, mid,
+                                               budget)
+        return tuple(rels)
+
+    H._columns = build
     return H
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from frobcheck.budget import Budget
+from frobcheck.budget import DEFAULT_BUDGET
 from frobcheck.cli import parse_model
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "models")
@@ -65,6 +65,6 @@ def corpus(model_a, model_b, model_c, model_d, model_e):
 
 
 @pytest.fixture(scope="session")
-def big_budget():
-    # ring C needs q^v = 125 pushforward generators
-    return Budget(max_pushforward_generators=256)
+def budget():
+    # the default budget, passed explicitly through the budget arguments
+    return DEFAULT_BUDGET

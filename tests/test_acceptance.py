@@ -10,9 +10,8 @@ pytest with -s to see the lines). The fixed corpus:
   D = F_5[x,y]/(y^2-x^3)                        weights (2,3), cusp, Gorenstein
   E = F_2[x,y]/(xy)                             node, not a domain
 
-Ring C needs a raised budget (q^v = 125 pushforward generators; weighted
-degrees past 200 at n = 2), supplied explicitly per the budget-override
-interface.
+Every criterion runs at the default budget, passed explicitly through the
+budget arguments.
 """
 
 from frobcheck import (bracket_power, buchberger, canonical_module,
@@ -36,13 +35,13 @@ def _pass(n, msg):
     print(f"[acceptance] criterion {n}: PASS - {msg}")
 
 
-def _corpus_modules(corpus, big_budget):
+def _corpus_modules(corpus, budget):
     """Per-ring module registry used by criteria 5, 8, 9 and 10."""
     reg = {}
     for key, mf in sorted(corpus.items()):
         entries = [(name, mf.module(name)) for name in sorted(mf.modules)]
         if key == "C":
-            entries.append(("omega", canonical_module(mf.ring, big_budget)))
+            entries.append(("omega", canonical_module(mf.ring, budget)))
         reg[key] = entries
     return reg
 
@@ -137,20 +136,20 @@ def test_criterion_04_serre_lichtenbaum(corpus):
              f"{len(pairs)} corpus pairs, exact")
 
 
-def test_criterion_05_cross_oracle_tor(corpus, big_budget):
-    reg = _corpus_modules(corpus, big_budget)
+def test_criterion_05_cross_oracle_tor(corpus, budget):
+    reg = _corpus_modules(corpus, budget)
     checked = 0
     for key, entries in sorted(reg.items()):
         for name, M in entries:
             for i in range(0, 4):
-                h = tor_frobenius(M, 1, i, "both", big_budget)
+                h = tor_frobenius(M, 1, i, "both", budget)
                 checked += 1
                 assert h is not None, (key, name, i)
     _pass(5, f"functor and pushforward Tor lengths agree on {checked} "
              "(module, i) instances, n = 1, exact")
 
 
-def test_criterion_06_gorenstein_detection(corpus, big_budget):
+def test_criterion_06_gorenstein_detection(corpus, budget):
     D = corpus["D"]
     t, gor = cm_type_and_gorenstein(D.ring)
     assert (t, gor) == (1, True)
@@ -161,21 +160,21 @@ def test_criterion_06_gorenstein_detection(corpus, big_budget):
         assert r.verdict != PAPER_VIOLATION
 
     C = corpus["C"]
-    t, gor = cm_type_and_gorenstein(C.ring, big_budget)
+    t, gor = cm_type_and_gorenstein(C.ring, budget)
     assert (t, gor) == (2, False)
-    omega = canonical_module(C.ring, big_budget)
+    omega = canonical_module(C.ring, budget)
     assert min_generators(omega) == 2 == t
     for method in ("canonical_frobenius", "ext_pushforward", "tor_omega"):
         r = check_gorenstein(C.ring, method, x=C.sop("x"), n=1,
-                             kappa_bound=1, budget=big_budget)
+                             kappa_bound=1, budget=budget)
         assert not r.conditions["premise"], method
         assert r.verdict != PAPER_VIOLATION
     omega_x = quotient_by_sequence(omega, C.sop("x"))
     assert not tor_frobenius(omega_x, 1, 1, "functor",
-                             big_budget).is_zero(big_budget)
-    pf = pushforward_presentation(C.ring, 1, big_budget)
-    assert not ext(pf.minimalized(big_budget),
-                   ring_as_module(C.ring), 1, big_budget).is_zero(big_budget)
+                             budget).is_zero(budget)
+    pf = pushforward_presentation(C.ring, 1, budget)
+    assert not ext(pf.minimalized(budget),
+                   ring_as_module(C.ring), 1, budget).is_zero(budget)
     _pass(6, "D: type 1, all premises hold; C: type 2, all premises fail, "
              "Tor_1(omega/x, f^1R) != 0, Ext^1(f^1R, R) != 0, mu(omega) = 2")
 
@@ -203,35 +202,35 @@ def test_criterion_07_kappa_certificates(corpus):
     _pass(7, "kappa bounds 1, 1, 0 on B, D, A re-verified by membership")
 
 
-def _mcm_pairs(corpus, big_budget):
+def _mcm_pairs(corpus, budget):
     out = []
     for key, sop_name in (("A", "xy"), ("B", "yz"), ("C", "x"),
                           ("D", "x"), ("E", "s")):
         mf = corpus[key]
         for name in sorted(mf.modules):
             M = mf.module(name)
-            if M.ambient_rank and depth_of_module(M, big_budget) == \
+            if M.ambient_rank and depth_of_module(M, budget) == \
                     mf.ring.dim():
                 out.append((key, name, M, mf.sop(sop_name)))
     mfc = corpus["C"]
-    out.append(("C", "omega", canonical_module(mfc.ring, big_budget),
+    out.append(("C", "omega", canonical_module(mfc.ring, budget),
                 mfc.sop("x")))
     return out
 
 
-def test_criterion_08_low_degree_inequality(corpus, big_budget):
+def test_criterion_08_low_degree_inequality(corpus, budget):
     checked = 0
-    for key, name, M, x in _mcm_pairs(corpus, big_budget):
+    for key, name, M, x in _mcm_pairs(corpus, budget):
         ring = M.ring
         q = ring.p
-        Mmin = minimalize(M, big_budget)
+        Mmin = minimalize(M, budget)
         mxm = quotient_by_sequence(Mmin, x)
-        lhs = module_length(tor_frobenius(mxm, 1, 1, "functor", big_budget),
-                            big_budget)
-        fnm = frobenius_module(Mmin, 1, big_budget)
+        lhs = module_length(tor_frobenius(mxm, 1, 1, "functor", budget),
+                            budget)
+        fnm = frobenius_module(Mmin, 1, budget)
         xq = bracket_power(list(x), q)
         K = koszul_complex(xq, fnm)
-        rhs = module_length(K.homology_at(1, big_budget), big_budget)
+        rhs = module_length(K.homology_at(1, budget), budget)
         assert lhs >= rhs, (key, name, lhs, rhs)
         checked += 1
     assert checked >= 6
@@ -260,13 +259,13 @@ def test_criterion_09_auslander_buchsbaum(corpus):
              "pd(k over E) infinite with Betti (1, 2, 2)")
 
 
-def test_criterion_10_no_paper_violations(corpus, big_budget):
+def test_criterion_10_no_paper_violations(corpus, budget):
     kappa = {"A": 0, "B": 1, "C": 1, "D": 1, "E": 1}
     sop_for = {"A": "xy", "B": "yz", "C": "x", "D": "x", "E": "s"}
     # ranks for modules over E, constant at both minimal primes; Ex has
     # different local ranks and therefore no rank at all
     e_ranks = {"R1": 1, "k": 0, "Es": 0}
-    reg = _corpus_modules(corpus, big_budget)
+    reg = _corpus_modules(corpus, budget)
     verdicts = []
 
     def note(label, report):
@@ -280,35 +279,35 @@ def test_criterion_10_no_paper_violations(corpus, big_budget):
         for name, M in entries:
             rank_override = e_ranks.get(name) if key == "E" else None
             note(f"{key}.main1.{name}",
-                 check_thm_main1(M, 1, bound, big_budget,
+                 check_thm_main1(M, 1, bound, budget,
                                  rank_override=rank_override,
                                  module_name=name))
             note(f"{key}.kl.{name}",
-                 check_thm_kl(M, 1, bound, big_budget,
+                 check_thm_kl(M, 1, bound, budget,
                               rank_override=rank_override, module_name=name))
-            if M.ambient_rank and depth_of_module(M, big_budget) == ring.dim():
+            if M.ambient_rank and depth_of_module(M, budget) == ring.dim():
                 note(f"{key}.free.{name}",
-                     check_cor_free(M, x, 1, bound, budget=big_budget,
+                     check_cor_free(M, x, 1, bound, budget=budget,
                                     rank_override=rank_override,
                                     module_name=name,
                                     sop_name=sop_for[key]))
         for method in ("canonical_frobenius", "ext_pushforward", "tor_omega"):
             note(f"{key}.gorenstein.{method}",
                  check_gorenstein(ring, method, x=x, n=1, kappa_bound=bound,
-                                  budget=big_budget, sop_name=sop_for[key]))
+                                  budget=budget, sop_name=sop_for[key]))
 
     B = corpus["B"]
     note("B.codim1.Ry", check_cor_codim1(B.module("Ry"), B.sop("z"), 1, 1,
-                                         budget=big_budget,
+                                         budget=budget,
                                          module_name="Ry", sop_name="z"))
     note("B.codim1.Rxy", check_cor_codim1(B.module("Rxy"), B.sop("z"), 1, 1,
-                                          budget=big_budget,
+                                          budget=budget,
                                           module_name="Rxy", sop_name="z"))
     note("E.codim1.k", check_cor_codim1(corpus["E"].module("k"), [], 1, 1,
-                                        budget=big_budget, module_name="k",
+                                        budget=budget, module_name="k",
                                         sop_name="(empty)"))
     note("D.codim1.Rx", check_cor_codim1(corpus["D"].module("Rx"), [], 1, 1,
-                                         budget=big_budget, module_name="Rx",
+                                         budget=budget, module_name="Rx",
                                          sop_name="(empty)"))
 
     scans = 0
@@ -316,7 +315,7 @@ def test_criterion_10_no_paper_violations(corpus, big_budget):
         for name, M in entries:
             if M.ambient_rank == 0:
                 continue
-            v = rigidity_scan(M, (1, 2), (1, 3), big_budget, module_id=name)
+            v = rigidity_scan(M, (1, 2), (1, 3), budget, module_id=name)
             assert v.classification in ("RIGID_WITNESSED", "VANISHING_FOUND",
                                         "INCONCLUSIVE"), (key, name)
             scans += 1

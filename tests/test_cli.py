@@ -141,6 +141,17 @@ def test_run_missing_file(capsys):
     assert run(["tor", "missing.json", "-m", "k", "-n", "1", "-i", "1"]) == 2
 
 
+def test_run_builds_its_parser_once(capsys):
+    # one parser serves every call: help still exits 0, bad arguments 2
+    from frobcheck import cli
+    assert run(["--help"]) == 0
+    parser = cli._parser
+    assert run(["tor", "--bogus"]) == 2
+    assert run(["info", model_path("e.json")]) == 0
+    assert cli._parser is parser
+    assert "usage: frobcheck" in capsys.readouterr().out
+
+
 def test_run_unknown_module(capsys):
     code = run(["resolve", model_path("a.json"), "-m", "nope", "-L", "2"])
     assert code == 2
@@ -173,8 +184,8 @@ def test_negative_rank_override_rejected(model_e):
 
 
 def test_run_budget_exit_three(capsys, monkeypatch):
-    monkeypatch.setenv("FROBCHECK_MAX_PUSHFORWARD_GENS", "2")
-    code = run(["tor", model_path("a.json"), "-m", "k", "-n", "1", "-i", "1",
+    monkeypatch.setenv("FROBCHECK_MAX_SPAIRS", "1")
+    code = run(["tor", model_path("b.json"), "-m", "k", "-n", "1", "-i", "1",
                 "--method", "pushforward"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
@@ -218,7 +229,8 @@ def test_budget_env_parsing(monkeypatch):
 def test_budget_env_ignores_removed_variables():
     # older scripts still set these; the limits they named are gone
     assert budget_from_env({"FROBCHECK_MAX_DEGREE": "5",
-                            "FROBCHECK_MAX_KAPPA_STEPS": "0"}) \
+                            "FROBCHECK_MAX_KAPPA_STEPS": "0",
+                            "FROBCHECK_MAX_PUSHFORWARD_GENS": "2"}) \
         == DEFAULT_BUDGET
 
 

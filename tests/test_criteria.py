@@ -183,12 +183,12 @@ def test_gorenstein_cusp_all_methods(model_d):
         assert r.conditions["conclusion_gorenstein"], method
 
 
-def test_gorenstein_semigroup_all_methods_fail_premise(model_c, big_budget):
+def test_gorenstein_semigroup_all_methods_fail_premise(model_c, budget):
     C = model_c.ring
     x = model_c.sop("x")
     for method in ("canonical_frobenius", "ext_pushforward", "tor_omega"):
         r = check_gorenstein(C, method, x=x, n=1, kappa_bound=1,
-                             budget=big_budget)
+                             budget=budget)
         assert r.verdict == CONSISTENT, method
         assert not r.conditions["premise"], method
         assert not r.conditions["conclusion_gorenstein"], method
@@ -233,10 +233,10 @@ def test_rigidity_k_over_node(model_e):
     assert not any(v.table.values())
 
 
-def test_rigidity_omega_semigroup_never_claims_gorenstein(model_c, big_budget):
+def test_rigidity_omega_semigroup_never_claims_gorenstein(model_c, budget):
     from frobcheck import canonical_module
-    om = canonical_module(model_c.ring, big_budget)
-    v = rigidity_scan(om, (1, 2), (1, 3), budget=big_budget,
+    om = canonical_module(model_c.ring, budget)
+    v = rigidity_scan(om, (1, 2), (1, 3), budget=budget,
                       module_id="omega")
     assert v.classification in ("RIGID_WITNESSED", "VANISHING_FOUND",
                                 "INCONCLUSIVE")

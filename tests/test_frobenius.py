@@ -1,5 +1,8 @@
 """Frobenius functor, pushforward presentation, cross-oracle Tor, kappa."""
 
+from itertools import product
+from operator import le
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +16,12 @@ from frobcheck import (ArgumentError, FreeComplex, InternalConsistencyError,
                        residue_field, tor_frobenius)
 from frobcheck._engine import DEGREE_LIMIT
 from frobcheck.budget import Budget
-from frobcheck.cli import parse_polynomial
+from frobcheck.algebra_kernel import standard_monomials
+from frobcheck.cli import parse_polynomial, run
 from frobcheck.errors import BudgetExceededError
 from frobcheck.frobenius import _bracket
-from frobcheck.module_engine import matmul
-from conftest import load_model, monomials_of_degree, packed
+from frobcheck.module_engine import matmul, tor
+from conftest import load_model, model_path, monomials_of_degree, packed
 from test_module_engine import RING_D, WEIGHTED, graded_rows
 
 
@@ -186,33 +190,53 @@ def test_pushforward_univariate_free():
 def test_pushforward_node_relations(model_e):
     E = model_e.ring
     pf = pushforward_presentation(E, 1)
-    assert pf.presentation.ambient_rank == 4
-    # residues in lexicographic order: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
+    # x*y is the only lead, so (1,1) is not a standard residue; in order
+    # (0,0)=0, (0,1)=1, (1,0)=2. x*y*e_0 vanishes in R and is dropped.
+    assert pf.residues == ((0, 0), (0, 1), (1, 0))
+    assert pf.presentation.ambient_rank == 3
     rels = {tuple(sorted((i, str(e)) for i, e in enumerate(col)
                          if not e.is_zero()))
             for col in zip(*pf.presentation.rows())}
-    assert rels == {((3, "1"),), ((1, "x"),), ((2, "y"),)}
+    assert rels == {((1, "x"),), ((2, "y"),)}
 
 
-def test_pushforward_generator_count_is_q_to_v(model_b):
-    pf = pushforward_presentation(model_b.ring, 1)
-    assert pf.presentation.ambient_rank == 3 ** 3
+def test_pushforward_generator_count_is_standard_residues(corpus):
+    # the residues of the box [0,q)^v that no lead of GB(I) divides
+    for mf in corpus.values():
+        R = mf.ring
+        leads = R.ideal_groebner().leads_by_position()[0]
+        for n in (1, 2):
+            q = R.p ** n
+            box = [a for a in product(range(q), repeat=len(R.variables))
+                   if not any(all(map(le, m, a)) for m in leads)]
+            pf = pushforward_presentation(R, n)
+            assert pf.residues == tuple(box)
+            assert pf.presentation.ambient_rank == len(box)
+    assert len(pushforward_presentation(corpus["B"].ring, 1).residues) == 18
 
 
 def test_pushforward_budget(model_c):
-    with pytest.raises(BudgetExceededError):
-        pushforward_presentation(model_c.ring, 1)   # 125 > default 64
-    pf = pushforward_presentation(model_c.ring, 1,
-                                  Budget(max_pushforward_generators=256))
+    # no generator limit: C at n = 2 needs 125 residues of 5^6; the walk
+    # still polls the cancel check
+    pf = pushforward_presentation(model_c.ring, 2)
     assert pf.presentation.ambient_rank == 125
 
+    class Cancelled(Exception):
+        pass
 
-def test_pushforward_is_mcm_over_cm_rings(model_c, model_d, big_budget):
+    def cancel():
+        raise Cancelled()
+
+    with pytest.raises(Cancelled):
+        pushforward_presentation(model_c.ring, 2, Budget(cancel_check=cancel))
+
+
+def test_pushforward_is_mcm_over_cm_rings(model_c, model_d, budget):
     # f^n R is a maximal Cohen-Macaulay module whenever R is CM
     from frobcheck import is_mcm
     for mf in (model_d, model_c):
-        pf = pushforward_presentation(mf.ring, 1, big_budget)
-        assert is_mcm(pf.minimalized(big_budget), big_budget)
+        pf = pushforward_presentation(mf.ring, 1, budget)
+        assert is_mcm(pf.minimalized(budget), budget)
 
 
 def test_pushforward_free_over_regular(model_a):
@@ -224,15 +248,65 @@ def test_pushforward_free_over_regular(model_a):
         assert pm.ambient_rank == (2 ** n) ** 2
 
 
-def test_pushforward_minimal_generators(model_c, big_budget):
+def test_pushforward_minimal_generators(model_c, budget):
     # mu(f^1 R) = len(R/m^[q])
     C = model_c.ring
-    pf = pushforward_presentation(C, 1, big_budget)
+    pf = pushforward_presentation(C, 1, budget)
     q = 5
     gb = buchberger(list(C.ideal_gens)
                     + [C.variable(i) ** q for i in range(3)], C)
-    assert pf.minimalized(big_budget).ambient_rank == \
+    assert pf.minimalized(budget).ambient_rank == \
         colength_and_standard_monomials(gb)[0] == 15
+
+
+def test_pushforward_mu_is_hilbert_kunz_count(corpus):
+    # mu(f^n R) = len(R/m^[q] R) (Monsky, Math. Ann. 263, 1983), read off
+    # the leads of GB(I + m^[q]) with no pushforward code
+    for mf in corpus.values():
+        R = mf.ring
+        v = len(R.variables)
+        for n in (1, 2):
+            q = R.p ** n
+            gb = buchberger(list(R.ideal_gens)
+                            + [R.variable(i) ** q for i in range(v)], R)
+            colength = standard_monomials(gb.leads_by_position()[0], v)
+            assert pushforward_presentation(R, n).minimalized() \
+                .ambient_rank == colength
+
+
+def _box_pushforward(R, n):
+    """Reference presentation of f^n R on all q^v residues a: for each
+    ideal generator g, the terms x^e of g x^a give the relation
+    sum c x^(e div q) e_(e mod q)."""
+    q = R.p ** n
+    residues = list(product(range(q), repeat=len(R.variables)))
+    index = {a: k for k, a in enumerate(residues)}
+    cols = [R.ctx.pack((index[tuple((x + y) % q for x, y in zip(m, a))],
+                        tuple((x + y) // q for x, y in zip(m, a)), c)
+                       for m, c in g.terms.items())
+            for g in R.ideal_gens for a in residues]
+    return minimalize(PresentedModule(R, len(residues), cols))
+
+
+def test_pushforward_matches_box_reference(corpus):
+    # equal mu and equal Tor lengths against the q^v presentation at n = 1
+    for mf in corpus.values():
+        R = mf.ring
+        k = residue_field(R)
+        ref = _box_pushforward(R, 1)
+        pf = pushforward_presentation(R, 1).minimalized()
+        assert pf.ambient_rank == ref.ambient_rank
+        for i in (1, 2):
+            assert module_length(tor(k, pf, i)) == module_length(tor(k, ref, i))
+
+
+@pytest.mark.parametrize("name", ["b", "d", "e"])
+def test_tor_both_routes_at_n2_default_budget(name, capsys):
+    # once past the q^v generator limit, now at the defaults
+    code = run(["tor", model_path(f"{name}.json"), "-m", "k", "-n", "2",
+                "-i", "3", "--method", "both"])
+    assert code == 0
+    assert "cross_oracle: agree" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

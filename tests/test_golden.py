@@ -16,6 +16,7 @@ and rescaled presentations no golden report covers.
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -77,12 +78,12 @@ def test_golden_report(name, capsys):
 def test_benchmark_ops_match_their_oracle(seed, tmp_path, monkeypatch,
                                           capsys):
     # the benchmark's correctness gate in process, every op of every
-    # workload, with the budget its workers get; perfbench/ is only read
+    # workload, at the default budget (no budget variable its workers set
+    # is read); perfbench/ is only read
     monkeypatch.syspath_prepend(PERFBENCH)
     import oracle
     from models import write_models
     from workloads import WORKLOADS, argv_for
-    monkeypatch.setenv("FROBCHECK_MAX_PUSHFORWARD_GENS", "256")
     with open(os.path.join(PERFBENCH, "expected.json"),
               encoding="utf-8") as fh:
         expected = json.load(fh)
@@ -97,6 +98,32 @@ def test_benchmark_ops_match_their_oracle(seed, tmp_path, monkeypatch,
         if wrong:
             problems[op] = wrong
     assert problems == {}
+
+
+def test_benchmark_required_layers_fire(tmp_path, monkeypatch):
+    # one traced worker runs every workload's seed-0 ops as the benchmark
+    # does; each layer REQUIRED_LAYERS names for a workload must fire in
+    # one of its ops, or a traced benchmark run of it fails
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from models import write_models
+    from run import worker_env
+    from workloads import REQUIRED_LAYERS, WORKLOADS, argv_for
+    paths = {k: str(v) for k, v in write_models(0, tmp_path).items()}
+    ops = [(name, argv_for(op, paths))
+           for name, workload in WORKLOADS.items() for op in workload]
+    job = json.dumps({"ops": [argv for _, argv in ops], "trace": True})
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH,
+                                                        "worker.py")],
+                          input=job, capture_output=True, text=True,
+                          env=worker_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fired = {name: set() for name in WORKLOADS}
+    for (name, _), work in zip(ops, json.loads(proc.stdout)["trace"]["per_op"]):
+        fired[name].update(k[:-len(".calls")] for k in work
+                           if k.endswith(".calls"))
+    silent = {name: sorted(set(layers) - fired[name])
+              for name, layers in REQUIRED_LAYERS.items()}
+    assert silent == {name: [] for name in REQUIRED_LAYERS}
 
 
 if __name__ == "__main__":

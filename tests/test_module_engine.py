@@ -732,6 +732,46 @@ def test_random_modules_over_regular_ring_satisfy_ab(data):
 
 
 # ---------------------------------------------------------------------------
+# homology as a subquotient: zero-ness and length from two bases
+
+def _check_subquotient(H):
+    """is_zero and module_length of a homology module, read off its bases
+    of Z and B + K without building its columns, equal those of its cycle
+    presentation; returns them."""
+    got = H.is_zero(), module_length(H)
+    if H.ambient_rank:
+        assert callable(H._columns)
+    cycles = PresentedModule(H.ring, H.ambient_rank, H.columns)
+    assert got == (cycles.is_zero(), module_length(cycles))
+    return got
+
+
+def _homologies(M, xs):
+    R = M.ring
+    out = [h(M, N, i) for h in (tor, ext)
+           for N in (residue_field(R), ring_as_module(R)) for i in range(3)]
+    K = koszul_complex(xs, M)
+    return out + [K.homology_at(i) for i in range(len(xs) + 1)]
+
+
+def test_subquotient_matches_cycle_presentation_on_corpus(corpus):
+    for mf in corpus.values():
+        xs = [mf.ring.variable(j) for j in range(len(mf.ring.variables))]
+        for M in mf.modules.values():
+            for H in _homologies(M, xs):
+                _check_subquotient(H)
+
+
+def test_subquotient_zero_and_infinite(A, B):
+    # x, y is a regular sequence on A: H_1 has cycles but vanishes
+    H1 = koszul_complex([P(A, "x"), P(A, "y")], ring_as_module(A)) \
+        .homology_at(1)
+    assert H1.ambient_rank and _check_subquotient(H1) == (True, 0)
+    # x alone is a partial s.o.p. of B (dim 2): H_0 = B/xB has dimension 1
+    H0 = koszul_complex([P(B, "x")], ring_as_module(B)).homology_at(0)
+    assert _check_subquotient(H0) == (False, INFINITE)
+
+
 # property tests on weighted graded matrices
 
 WEIGHTED = RingModel(5, ["x", "y"], weights=(2, 3), is_domain=True,
@@ -897,26 +937,26 @@ def _generic_disguises(M):
             for flip in (False, True)]
 
 
-def test_minimalization_sweep_on_corpus_modules(corpus, big_budget):
+def test_minimalization_sweep_on_corpus_modules(corpus, budget):
     for mf in corpus.values():
         for M in mf.modules.values():
             for D in _generic_disguises(M):
-                _check_minimalization(M, D, big_budget)
+                _check_minimalization(M, D, budget)
 
 
 def test_minimalization_sweep_on_tor_ext_and_pushforwards(corpus,
-                                                          big_budget):
+                                                          budget):
     mods = []
     for name, mf in corpus.items():
         M = mf.module("MF" if name in "BD" else "k")
         k = residue_field(mf.ring)
         for i in (0, 1, 2):
-            mods += [tor(M, k, i, big_budget),
-                     ext(M, ring_as_module(mf.ring), i, big_budget)]
-        mods.append(cached_pushforward(mf.ring, 1, big_budget).presentation)
+            mods += [tor(M, k, i, budget),
+                     ext(M, ring_as_module(mf.ring), i, budget)]
+        mods.append(cached_pushforward(mf.ring, 1, budget).presentation)
     for M in mods:
         for D in [M] + _generic_disguises(M):
-            _check_minimalization(M, D, big_budget)
+            _check_minimalization(M, D, budget)
 
 
 @st.composite
@@ -946,3 +986,12 @@ def disguised_pair(draw, ring):
 def test_minimalization_sweep_on_disguised_presentations(ring, data):
     M, D = data.draw(disguised_pair(ring))
     _check_minimalization(M, D, Budget())
+
+
+@pytest.mark.parametrize("ring", [WEIGHTED, RING_D], ids=["regular", "D"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_subquotient_matches_cycle_presentation_on_generated(ring, data):
+    M, _ = data.draw(disguised_pair(ring))
+    for H in _homologies(M, [ring.variable(0)]):
+        _check_subquotient(H)
