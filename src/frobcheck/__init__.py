@@ -1,16 +1,14 @@
 """Frobenius freeness and Gorensteinness checkers over F_p quotient rings."""
 
 from .algebra_kernel import (GroebnerBasis, INFINITE, Polynomial, RingModel,
-                             bracket_power, buchberger,
-                             colength_and_standard_monomials, krull_dimension,
-                             normal_form, qth_root_decompose)
+                             buchberger, krull_dimension, normal_form)
 from .budget import Budget, DEFAULT_BUDGET
 from .criteria import (CriterionReport, RigidityVerdict, check_cor_codim1,
                        check_cor_free, check_gorenstein, check_thm_kl,
                        check_thm_main1, pd_is_finite, rigidity_scan)
 from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
-from .frobenius import (FrobeniusPower, PushforwardModule, frobenius_complex,
+from .frobenius import (PushforwardModule, frobenius_complex,
                         frobenius_module, kappa_for_sop, kappa_upper_bound,
                         pushforward_presentation, tor_frobenius)
 from .invariants import (EulerCharacteristic, InvariantBundle,

@@ -15,7 +15,7 @@ cannot change results.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -493,28 +493,6 @@ def standard_monomials(leads: Sequence[Mono], nvars: int,
     return sum(k)
 
 
-def colength_and_standard_monomials(gb: GroebnerBasis):
-    """F_p-dimension of S/J and its monomial basis, or (INFINITE, None).
-
-    The dimension equals the number of monomials outside the leading-term
-    ideal; for graded ideals this is the length of the local quotient.
-    Finite iff each variable has a pure power among the leads; the basis
-    is then listed from the box those powers bound.
-    """
-    if gb.ambient_rank != 1:
-        raise ArgumentError("colength requires an ideal basis")
-    leads = gb.leads_by_position()[0]
-    if any(not any(m) for m in leads):
-        return 0, []
-    bounds = [min((m[i] for m in leads if m[i] == sum(m)), default=0)
-              for i in range(len(gb.ring.variables))]
-    if not all(bounds):
-        return INFINITE, None
-    basis = [e for e in product(*(range(b) for b in bounds))
-             if not any(_engine.mono_divides(m, e) for m in leads)]
-    return len(basis), sorted(basis, key=gb.ring.ctx.mono_key)
-
-
 def krull_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of S^r/J from its leading terms.
 
@@ -539,41 +517,3 @@ def krull_dimension(gb: GroebnerBasis) -> int:
         best = max(best, nvars - order)
     return best
 
-
-def is_power_of(q: int, p: int) -> bool:
-    if q < 1:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def bracket_power(gens: Sequence[Polynomial], q: int) -> List[Polynomial]:
-    """Generators {g^q} of the bracket power I^[q], q a power of p."""
-    if not gens:
-        return []
-    p = gens[0].ring.p
-    if not is_power_of(q, p):
-        raise ArgumentError(f"{q} is not a power of the characteristic {p}")
-    return [g.frobenius_power(q) for g in gens]
-
-
-def qth_root_decompose(f: Polynomial, q: int) -> Dict[Mono, Polynomial]:
-    """Split f as sum over residues a of G_a(x_1^q..x_v^q) * x^a.
-
-    Each exponent splits as q*quotient + residue; the component at residue a
-    collects the quotient parts. Since coefficients lie in F_p and q is a
-    power of p, G_a(x^q) equals G_a(x)^q, so the components are also the
-    q-th-root coefficients of f over F_p[x^q]. Residues with no terms are
-    absent from the result.
-    """
-    ring = f.ring
-    if not is_power_of(q, ring.p):
-        raise ArgumentError(f"{q} is not a power of the characteristic {ring.p}")
-    comps: Dict[Mono, Dict[Mono, int]] = {}
-    for m, c in f.terms.items():
-        residue = tuple(e % q for e in m)
-        quotient = tuple(e // q for e in m)
-        comps.setdefault(residue, {})[quotient] = c
-    return {res: Polynomial(ring, terms)
-            for res, terms in sorted(comps.items())}

@@ -36,10 +36,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebra_kernel import Polynomial, RingModel
 from .budget import DEFAULT_BUDGET, Budget
-from .criteria import (CONSISTENT, GORENSTEIN_METHODS, PAPER_VIOLATION,
-                       CriterionReport, _fmt, check_cor_codim1,
-                       check_cor_free, check_gorenstein, check_thm_kl,
-                       check_thm_main1, rigidity_scan)
+from .criteria import (CONSISTENT, PAPER_VIOLATION, CriterionReport, _fmt,
+                       check_cor_codim1, check_cor_free, check_gorenstein,
+                       check_thm_kl, check_thm_main1, rigidity_scan)
 from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
@@ -584,8 +583,6 @@ def _payload_check(mf: ModelFile, args, budget: Budget) -> Tuple[str, int]:
                                   module_name=args.module, sop_name=args.sop)
     elif args.criterion == "gorenstein":
         method = (args.method or "canonical-frobenius").replace("-", "_")
-        if method not in GORENSTEIN_METHODS:
-            raise ModelError(f"unknown gorenstein method {args.method!r}")
         x = mf.sop(_need(args.sop, "-s")) if method == "tor_omega" else None
         report = check_gorenstein(mf.ring, method, x=x, n=n,
                                   kappa_bound=bound, i_max=args.i_max,

@@ -13,7 +13,6 @@ agree, which tor_frobenius can enforce in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ._engine import (DEGREE_LIMIT, Mono, mono_divides, past_ceiling,
@@ -24,23 +23,16 @@ from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
 from .invariants import sop_basis
-from .module_engine import (FreeComplex, Matrix, PresentedModule,
+from .module_engine import (FreeComplex, Matrix, PresentedModule, _nf,
                             minimal_free_resolution, minimalize,
                             module_length, tor)
 
 
-@dataclass(frozen=True)
-class FrobeniusPower:
-    """Iteration count n with its derived power q = p^n."""
-
-    n: int
-    q: int
-
-    @classmethod
-    def of(cls, ring: RingModel, n: int) -> "FrobeniusPower":
-        if n < 0:
-            raise ArgumentError("Frobenius iteration count must be >= 0")
-        return cls(n, ring.p ** n)
+def _power(ring: RingModel, n: int) -> int:
+    """q = p^n for an iteration count n >= 0."""
+    if n < 0:
+        raise ArgumentError("Frobenius iteration count must be >= 0")
+    return ring.p ** n
 
 
 def _check_minimal(M: PresentedModule) -> None:
@@ -81,42 +73,54 @@ def frobenius_module(M: PresentedModule, n: int,
     stay inside the maximal ideal.
     """
     _check_minimal(M)
-    fp = FrobeniusPower.of(M.ring, n)
     return PresentedModule(M.ring, M.ambient_rank,
-                           _bracket(M.ring, M.columns, fp.q), budget)
+                           _bracket(M.ring, M.columns, _power(M.ring, n)),
+                           budget)
 
 
-def frobenius_complex(G: FreeComplex, n: int) -> FreeComplex:
-    """F^n applied to a free complex: entrywise q-th powers of differentials.
+def frobenius_complex(G: FreeComplex, n: int,
+                      budget: Budget = DEFAULT_BUDGET) -> FreeComplex:
+    """F^n applied to a free complex: entrywise q-th powers of differentials,
+    in normal form, as homology reads them.
 
     Built unverified: Frobenius is a ring map of S fixing F_p, so
     [d_i][d_(i+1)] = [d_i d_(i+1)] lies in I^[q], inside I, once d_i d_(i+1)
     does, as G's resolution checked. Homology at i presents Tor_i(M, f^n R)
     when G is a minimal resolution of M.
     """
-    fp = FrobeniusPower.of(G.ring, n)
-    diffs = [_bracket(G.ring, d, fp.q) for d in G.differentials]
+    q = _power(G.ring, n)
+    diffs = [[_nf(G.ring, col, budget) for col in _bracket(G.ring, d, q)]
+             for d in G.differentials]
     return FreeComplex(G.ring, G.ranks, diffs, verify=False)
+
+
+def _twisted_homology(G: FreeComplex, n: int, i: int,
+                      budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
+    """H_i of F^n(G), twisting only the steps i-1, i, i+1 that it reads."""
+    window = FreeComplex(G.ring, [G.rank(i - 1), G.rank(i), G.rank(i + 1)],
+                         [G.differential(i), G.differential(i + 1)],
+                         verify=False)
+    return frobenius_complex(window, n, budget).homology_at(1, budget)
 
 
 class PushforwardModule:
     """f^n R presented on generators e_a, one per standard residue a in
     [0,q)^v (x^a outside in(I)); ``minimalized`` caches the pruned form
-    used for Tor/Ext computations."""
+    used for Tor/Ext computations; ``n`` is the iteration count."""
 
-    __slots__ = ("presentation", "residues", "power")
+    __slots__ = ("presentation", "residues", "n")
 
     def __init__(self, presentation: PresentedModule,
-                 residues: Tuple[Mono, ...], power: FrobeniusPower):
+                 residues: Tuple[Mono, ...], n: int):
         self.presentation = presentation
         self.residues = residues
-        self.power = power
+        self.n = n
 
     def minimalized(self, budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
         return minimalize(self.presentation, budget)
 
     def __repr__(self) -> str:
-        return (f"PushforwardModule(n={self.power.n}, "
+        return (f"PushforwardModule(n={self.n}, "
                 f"generators={len(self.residues)}, "
                 f"relations={self.presentation.num_relations})")
 
@@ -134,8 +138,7 @@ def pushforward_presentation(ring: RingModel, n: int,
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
-    fp = FrobeniusPower.of(ring, n)
-    q, p, ctx = fp.q, ring.p, ring.ctx
+    q, p, ctx = _power(ring, n), ring.p, ring.ctx
     gb = ring.ideal_groebner(budget).index
     leads = gb.lead_monos()
     # a tree walk of the standard residues, not of the box: a child raises
@@ -164,7 +167,7 @@ def pushforward_presentation(ring: RingModel, n: int,
                               tuple(x // q for x in m), p - c))
             cols.append(ctx.pack(terms))
     pres = PresentedModule(ring, len(residues), cols, budget)
-    return PushforwardModule(pres, tuple(residues), fp)
+    return PushforwardModule(pres, tuple(residues), n)
 
 
 def cached_pushforward(ring: RingModel, n: int,
@@ -182,7 +185,7 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
                   budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
     """Tor_i(M, f^n R) by the chosen route.
 
-    method="functor" takes homology of the Frobenius-twisted minimal
+    method="functor" takes homology at i of the Frobenius-twisted minimal
     resolution; method="pushforward" resolves M and tensors with the
     pushforward presentation; method="both" runs the two and insists the
     lengths agree (a cross-oracle; disagreement is an engine bug).
@@ -198,7 +201,7 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
             # resolution stopped before step i, so Tor_i vanishes
             out_f = PresentedModule.free(M.ring, 0)
         else:
-            out_f = frobenius_complex(res, n).homology_at(i, budget)
+            out_f = _twisted_homology(res, n, i, budget)
     if method in ("pushforward", "both"):
         pf = cached_pushforward(M.ring, n, budget)
         out_p = tor(M, pf.minimalized(budget), i, budget)

@@ -439,13 +439,16 @@ def _minimalize_columns(ring: RingModel, cols: Matrix, nrows: int,
 
 def minimalize(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
                ) -> PresentedModule:
-    """Minimal presentation of M: all relation entries in the maximal ideal."""
+    """Minimal presentation of M: all relation entries in the maximal ideal.
+    M itself when it has no unit entry."""
     cached = M._cache.get("minimal")
     if cached is None:
         cols, kept = _minimalize_columns(M.ring, list(M.columns),
                                          M.ambient_rank, budget)
-        cached = PresentedModule(M.ring, len(kept), cols, budget)
-        cached._cache["minimal"] = cached
+        cached = M
+        if len(kept) < M.ambient_rank:
+            cached = PresentedModule(M.ring, len(kept), cols, budget)
+            cached._cache["minimal"] = cached
         M._cache["minimal"] = cached
     return cached
 
@@ -505,6 +508,8 @@ class FreeComplex:
     matrix shapes chain and, with ``verify``, that consecutive differentials
     compose to zero modulo the ring ideal. The library's complexes come from
     resolutions, which check each d_i d_(i+1) once, so it skips ``verify``.
+    The complex keeps the columns it is given, uncopied: like a module's
+    columns they are read, never changed.
     """
 
     __slots__ = ("ring", "ranks", "differentials", "coefficients")
@@ -514,8 +519,7 @@ class FreeComplex:
                  budget: Budget = DEFAULT_BUDGET):
         self.ring = ring
         self.ranks = tuple(int(r) for r in ranks)
-        self.differentials = tuple(tuple(dict(c) for c in d)
-                                   for d in differentials)
+        self.differentials = tuple(tuple(d) for d in differentials)
         self.coefficients: Optional[PresentedModule] = None
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ArgumentError("rank list and differential list lengths differ")
@@ -548,9 +552,10 @@ class FreeComplex:
         return self.ranks[i] if i < len(self.ranks) else 0
 
     def differential(self, i: int) -> Matrix:
-        """d_i as a list of columns; zero map beyond the recorded length."""
+        """d_i as a list of columns, shared with the complex (read them, do
+        not change them); zero map beyond the recorded length."""
         if 1 <= i <= len(self.differentials):
-            return [dict(c) for c in self.differentials[i - 1]]
+            return list(self.differentials[i - 1])
         return [dict() for _ in range(self.rank(i))]
 
     def betti_numbers(self) -> Tuple[int, ...]:
@@ -602,20 +607,21 @@ def present_homology(ring: RingModel, mid: GroebnerBasis,
     """H = Z/(B + K): Z = ker(out_map), B = im(in_map), K the relations
     in ``mid`` (padding included); ``out_target`` is the relation basis of
     out_map's target. Z is a preimage, one kernel call; B + K one Buchberger
-    call seeded with ``mid``; both take columns in normal form. ``is_zero``
-    and ``module_length`` read the leads of both; the presentation on the
-    cycles takes a second kernel call, made when ``columns`` is first
-    read. The complex's builder checked out_map * in_map, so B lies in Z.
+    call seeded with ``mid``. Both are seeded with the ideal padding, so
+    the maps are taken as given: normal forms would change neither result.
+    ``is_zero`` and ``module_length`` read the leads of both; the
+    presentation on the cycles takes a second kernel call, made when
+    ``columns`` is first read. The complex's builder checked
+    out_map * in_map, so B lies in Z.
     """
     rm, ctx = mid.ambient_rank, ring.ctx
     if out_map is None or rm == 0:     # Z is all of S^rm
         kcols, cycles = [{-(j << ctx.pb): 1} for j in range(rm)], None
     else:
-        out_cols = [_nf(ring, col, budget) for col in out_map]
-        kcols, cycles = _kernel_columns(ring, out_cols, [], out_target, budget)
+        kcols, cycles = _kernel_columns(ring, out_map, [], out_target, budget)
     if not kcols:
         return PresentedModule.free(ring, 0)
-    in_cols = [_nf(ring, col, budget) for col in in_map or ()]
+    in_cols = in_map or []
     bounds = mid
     if in_cols:
         _require_graded(ring, in_cols, rm)

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from frobcheck._engine import mono_divides
+from frobcheck.algebra_kernel import standard_monomials
 from frobcheck.budget import DEFAULT_BUDGET
 from frobcheck.cli import parse_model
 
@@ -29,6 +31,28 @@ def monomials_of_degree(ring, d):
     w = ring.weights
     return [m for m in product(*(range(d // wi + 1) for wi in w))
             if sum(e * wi for e, wi in zip(m, w)) == d]
+
+
+def colength(gb):
+    """F_p-dimension of S/J for the ideal basis ``gb`` of J: the engine's
+    count of the monomials outside in(J)."""
+    return standard_monomials(gb.leads_by_position()[0],
+                              len(gb.ring.variables))
+
+
+def box_standard_monomials(gb):
+    """Reference for ``colength``: the monomials outside in(J), listed from
+    the box that the pure-power leads bound, or None when some variable has
+    no pure power among them (infinitely many)."""
+    leads = gb.leads_by_position()[0]
+    if any(not any(m) for m in leads):
+        return []
+    bounds = [min((m[i] for m in leads if m[i] == sum(m)), default=0)
+              for i in range(len(gb.ring.variables))]
+    if not all(bounds):
+        return None
+    return [e for e in product(*(range(b) for b in bounds))
+            if not any(mono_divides(m, e) for m in leads)]
 
 
 # session scope so ring-level caches (ideal bases, resolutions, pushforwards)

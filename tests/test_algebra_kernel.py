@@ -1,5 +1,5 @@
 """Kernel-level oracles: Groebner bases, normal forms, colengths,
-dimensions, bracket powers, q-th-root decomposition."""
+dimensions, Frobenius powers of ring elements."""
 
 from itertools import combinations, product
 
@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcheck import (ArgumentError, INFINITE, Polynomial, RingModel,
-                       bracket_power, buchberger,
-                       colength_and_standard_monomials, krull_dimension,
-                       module_length, normal_form, qth_root_decompose, tor)
+                       buchberger, krull_dimension, module_length,
+                       normal_form, tor)
 from frobcheck.algebra_kernel import standard_monomials
 from frobcheck.cli import parse_polynomial
+from conftest import box_standard_monomials, colength
 
 
 def ring2():
@@ -24,6 +24,11 @@ def ring3():
 
 def P(ring, s):
     return parse_polynomial(ring, s)
+
+
+def bracket(gens, q):
+    """Generators g^q of the bracket power (gens)^[q]."""
+    return [g.frobenius_power(q) for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +119,8 @@ def test_colength_18_against_brute_force():
     oracle = brute_force_colength(R, gens, maxdeg=9)
     assert oracle == 18
     gb = buchberger(gens, R)
-    length, basis = colength_and_standard_monomials(gb)
-    assert length == 18
-    assert len(basis) == 18
+    assert colength(gb) == 18
+    assert len(box_standard_monomials(gb)) == 18
 
 
 def test_colength_18_against_sympy():
@@ -165,16 +169,16 @@ def test_weighted_colengths_match_sympy_unweighted():
     xs = sympy.symbols("x y z")
     x, y, z = xs
     C = RingModel(5, ["x", "y", "z"], weights=(3, 4, 5))
-    mine = colength_and_standard_monomials(buchberger(
+    mine = colength(buchberger(
         [P(C, "x*z-y^2"), P(C, "x^3-y*z"), P(C, "x^2*y-z^2"),
-         P(C, "x^5"), P(C, "y^5"), P(C, "z^5")], C))[0]
+         P(C, "x^5"), P(C, "y^5"), P(C, "z^5")], C))
     theirs = sympy_colength(
         [x*z - y**2, x**3 - y*z, x**2*y - z**2, x**5, y**5, z**5], xs, 5)
     assert mine == theirs == 15
 
     D = RingModel(5, ["x", "y"], weights=(2, 3))
-    mine = colength_and_standard_monomials(buchberger(
-        [P(D, "y^2-x^3"), P(D, "x^5"), P(D, "y^5")], D))[0]
+    mine = colength(buchberger(
+        [P(D, "y^2-x^3"), P(D, "x^5"), P(D, "y^5")], D))
     theirs = sympy_colength([y**2 - x**3, x**5, y**5], (x, y), 5)
     assert mine == theirs == 10
 
@@ -240,39 +244,39 @@ def test_membership_soundness_hand_instances():
 
 def test_colength_bracket_square_of_m():
     R = ring2()
-    gb = buchberger(bracket_power([P(R, "x"), P(R, "y")], 2), R)
-    length, basis = colength_and_standard_monomials(gb)
-    assert length == 4
-    assert set(basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    gb = buchberger(bracket([P(R, "x"), P(R, "y")], 2), R)
+    assert colength(gb) == 4
+    assert set(box_standard_monomials(gb)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def test_colength_maximal_ideal():
     R = ring2()
     gb = buchberger([P(R, "x"), P(R, "y")], R)
-    assert colength_and_standard_monomials(gb) == (1, [(0, 0)])
+    assert colength(gb) == 1
+    assert box_standard_monomials(gb) == [(0, 0)]
 
 
 def test_colength_infinite_for_zero_ideal():
     R = ring2()
     gb = buchberger([], R)
-    length, basis = colength_and_standard_monomials(gb)
-    assert length is INFINITE and basis is None
+    assert colength(gb) is INFINITE
+    assert box_standard_monomials(gb) is None
 
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_colength_of_bracket_power_is_q_to_v(q):
     R = ring2()
-    gb = buchberger(bracket_power([P(R, "x"), P(R, "y")], q), R)
-    assert colength_and_standard_monomials(gb)[0] == q ** 2
+    gb = buchberger(bracket([P(R, "x"), P(R, "y")], q), R)
+    assert colength(gb) == q ** 2
 
 
 def test_node_bracket_colengths_known_values():
     # len(k[x,y]/(xy, x^q, y^q)) = 2q - 1
     R = ring2()
     for q in (2, 4, 8):
-        gens = [P(R, "x*y")] + bracket_power([P(R, "x"), P(R, "y")], q)
+        gens = [P(R, "x*y")] + bracket([P(R, "x"), P(R, "y")], q)
         gb = buchberger(gens, R)
-        assert colength_and_standard_monomials(gb)[0] == 2 * q - 1
+        assert colength(gb) == 2 * q - 1
         assert brute_force_colength(R, gens, maxdeg=2 * q + 2) == 2 * q - 1
 
 
@@ -280,7 +284,7 @@ def test_quadric_bracket_colength_against_brute_force():
     R = ring3()
     gens = [P(R, "x^2+y*z"), P(R, "x^3"), P(R, "y^3"), P(R, "z^3")]
     gb = buchberger(gens, R)
-    engine = colength_and_standard_monomials(gb)[0]
+    engine = colength(gb)
     assert engine == brute_force_colength(R, gens, maxdeg=10)
 
 
@@ -288,7 +292,7 @@ def test_weighted_cusp_colength_against_brute_force():
     C = RingModel(5, ["x", "y"], weights=(2, 3))
     gens = [P(C, "y^2-x^3"), P(C, "x^5"), P(C, "y^5")]
     gb = buchberger(gens, C)
-    engine = colength_and_standard_monomials(gb)[0]
+    engine = colength(gb)
     assert engine == brute_force_colength(C, gens, maxdeg=40)
 
 
@@ -397,39 +401,22 @@ def test_series_on_corpus_relation_bases_over_weighted_rings(model_c,
 
 
 # ---------------------------------------------------------------------------
-# bracket powers and q-th roots
+# Frobenius powers of ring elements
 
 def test_bracket_power_monomials():
     R = ring2()
-    out = bracket_power([P(R, "x"), P(R, "y")], 2)
+    out = bracket([P(R, "x"), P(R, "y")], 2)
     assert [str(g) for g in out] == ["x^2", "y^2"]
 
 
 def test_bracket_power_freshmans_dream():
     R = RingModel(3, ["x", "y"])
-    out = bracket_power([P(R, "x+y")], 3)
-    assert [str(g) for g in out] == ["x^3+y^3"]
+    assert str(P(R, "x+y").frobenius_power(3)) == "x^3+y^3"
+    assert P(R, "x+y").frobenius_power(3) == P(R, "x+y") ** 3
     R3 = ring3()
-    assert [str(g) for g in bracket_power([P(R3, "x^2+y*z")], 3)] \
-        == ["x^6+y^3*z^3"]
-
-
-def test_bracket_power_rejects_bad_q():
-    R = ring2()
-    with pytest.raises(ArgumentError):
-        bracket_power([P(R, "x")], 3)
-
-
-def test_qth_root_examples():
-    R = ring2()
-    d = qth_root_decompose(P(R, "x^3*y"), 2)
-    assert set(d) == {(1, 1)}
-    assert str(d[(1, 1)]) == "x"
-    d = qth_root_decompose(P(R, "x^4"), 4)
-    assert set(d) == {(0, 0)} and str(d[(0, 0)]) == "x"
-    R3 = ring3()
-    d = qth_root_decompose(P(R3, "x^2+y*z"), 3)
-    assert str(d[(2, 0, 0)]) == "1" and str(d[(0, 1, 1)]) == "1"
+    f = P(R3, "2*x^2+y*z")
+    assert str(f.frobenius_power(3)) == "2*x^6+y^3*z^3"
+    assert f.frobenius_power(9) == f ** 9
 
 
 def _poly_strategy(ring, max_exp=4, max_terms=5):
@@ -438,19 +425,6 @@ def _poly_strategy(ring, max_exp=4, max_terms=5):
     coeff = st.integers(1, ring.p - 1)
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda t: Polynomial.from_terms(ring, t))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_qth_root_reconstruction(data):
-    ring = RingModel(3, ["x", "y"])
-    f = data.draw(_poly_strategy(ring))
-    q = data.draw(st.sampled_from([3, 9]))
-    comps = qth_root_decompose(f, q)
-    total = ring.zero()
-    for residue, comp in comps.items():
-        total = total + comp.frobenius_power(q) * ring.monomial(residue)
-    assert total == f
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 lengths, Tor, Ext, minimal generators."""
 
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,6 +407,28 @@ def test_h1_of_koszul_on_k(A):
     assert module_length(K.homology_at(1)) == 2
 
 
+def test_homology_takes_maps_out_of_normal_form(B):
+    # elements e + g with g in the ideal give a Koszul complex whose maps
+    # are not in normal form; homology reads them as given, and agrees with
+    # the Koszul complex on the normal forms. The elements lie in m, so
+    # over k the homology is the exterior algebra, of length binomial(3, i).
+    g = P(B, "x^2+y*z")
+    elements = [P(B, "x^2") + g, P(B, "y^2") + g, P(B, "z^2") + g]
+    MF = PresentedModule.from_rows(B, [[P(B, "x"), P(B, "y")],
+                                       [P(B, "z"), P(B, "-x")]])
+    k = residue_field(B)
+    for M in (ring_as_module(B), k, MF):
+        raw = koszul_complex(elements, M)
+        nf = koszul_complex([B.nf(e) for e in elements], M)
+        assert raw.differentials != nf.differentials
+        for i in range(4):
+            h_raw, h_nf = raw.homology_at(i), nf.homology_at(i)
+            assert h_raw.is_zero() == h_nf.is_zero()
+            assert module_length(h_raw) == module_length(h_nf)
+            if M is k:
+                assert module_length(h_raw) == comb(3, i)
+
+
 def test_homology_index_out_of_range(A):
     res = minimal_free_resolution(residue_field(A), 2)
     with pytest.raises(ArgumentError):
@@ -665,6 +688,20 @@ def test_min_generators_examples(B):
     MF = PresentedModule.from_rows(B, [[P(B, "x"), P(B, "y")],
                                        [P(B, "z"), P(B, "-x")]])
     assert min_generators(MF) == 2
+
+
+def test_minimalize_returns_a_minimal_module_itself(B):
+    k = residue_field(B)
+    assert minimalize(k) is k
+    MF = PresentedModule.from_rows(B, [[P(B, "x"), P(B, "y")],
+                                       [P(B, "z"), P(B, "-x")]])
+    assert minimalize(MF) is MF
+    # a unit entry still gives a new, smaller module
+    M = PresentedModule.from_rows(B, [[B.one(), B.zero()],
+                                      [P(B, "x"), P(B, "y")]])
+    Mm = minimalize(M)
+    assert Mm is not M and Mm.ambient_rank == 1
+    assert minimalize(Mm) is Mm
 
 
 def test_minimalization_leaves_entries_in_m(B):
