@@ -8,8 +8,10 @@ generators. Limits are per top-level engine invocation, so a Budget is
 immutable and safe to share between threads. The optional cancel_check
 callable is polled before each reduction of the flat Groebner engine (S-pairs
 and tail reduction; a kernel is one such Groebner call), before each row a
-module normal form reduces (``module_engine._nf``) and at each residue of the
-pushforward walk; raise from it to cancel a long computation.
+module normal form reduces (``module_engine._nf``), before each monomial
+power the Frobenius bracket first reduces (``frobenius._bracket``), at each
+residue of the pushforward walk and at each t of the kappa scan; raise from
+it to cancel a long computation.
 """
 
 from __future__ import annotations

@@ -3,27 +3,30 @@ presentation, and certified upper bounds for the kappa invariant.
 
 The functor raises every entry of a presentation matrix to the q-th power
 (q = p^n); on a minimal presentation this is again a minimal presentation
-of the base-changed module. The pushforward realizes R viewed through the
-n-th Frobenius as a finite R-module on generators indexed by its standard
-residues, with relations read off from normal forms of monomials. Tor
-against the Frobenius has the two spec'd realizations; their lengths must
-agree, which tor_frobenius can enforce in one call.
+of the base-changed module. The q-th power is additive over F_p, so it is
+put in normal form from a per-ring memo of the monomials' powers. The
+pushforward realizes R viewed through the n-th Frobenius as a finite
+R-module on generators indexed by its standard residues, with relations
+read off from normal forms of monomials. Tor against the Frobenius has the
+two spec'd realizations; their lengths must agree, which tor_frobenius can
+enforce in one call.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Sequence, Tuple
 
 from ._engine import (DEGREE_LIMIT, Mono, mono_divides, past_ceiling,
-                      reduce_full)
+                      reduce_full, vec_axpy)
 from .algebra_kernel import (Polynomial, RingModel, _minimal_monomials,
                              normal_form)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
 from .invariants import sop_basis
-from .module_engine import (FreeComplex, Matrix, PresentedModule, _nf,
+from .module_engine import (FreeComplex, Matrix, PresentedModule,
                             minimal_free_resolution, minimalize,
                             module_length, tor)
 
@@ -42,24 +45,35 @@ def _check_minimal(M: PresentedModule) -> None:
             "presentation has a unit entry; minimalize first")
 
 
-def _bracket(ring: RingModel, cols: Matrix, q: int) -> Matrix:
-    """Entrywise q-th powers: exponents scale by q, coefficients stay (F_p).
-
-    k is linear, so the monomial key k(m) of each term becomes q * k(m),
-    its row unchanged. The degree q * wdeg(m) is checked against the
-    ceiling first, so no exponent field can overflow.
+def _bracket(ring: RingModel, cols: Matrix, q: int,
+             budget: Budget = DEFAULT_BUDGET) -> Matrix:
+    """Entrywise q-th powers in normal form. Over F_p, c^q = c and
+    [sum c m]^q = sum c m^q; normal forms are linear, so each term
+    (row, m, c) adds c * NF(m^q) at its row. NF(m^q) is reduced once per
+    ring, memoized by k(m) under ("bracket_nf", q); k(m^q) = q * k(m), and
+    its degree is checked against the ceiling before anything is packed or
+    stored. Memo values are shared, so never handed out.
     """
-    ctx = ring.ctx
+    ctx, p = ring.ctx, ring.p
     top, mask, shift = ctx.top, ctx.mask, ctx.shift
+    memo = ring._cache.setdefault(("bracket_nf", q), {})
     out: Matrix = []
     for col in cols:
         new = {}
         for t, c in col.items():
             k = t & top
-            d = q * (k + mask >> shift)
-            if d >= DEGREE_LIMIT:
-                raise past_ceiling(d)
-            new[t + (q - 1) * k] = c
+            nf = memo.get(k)
+            if nf is None:
+                d = q * (k + mask >> shift)
+                if d >= DEGREE_LIMIT:
+                    raise past_ceiling(d)
+                budget.check_cancel()
+                nf = {q * k: 1}
+                if ring.ideal_gens:
+                    nf = reduce_full(nf, ring.ideal_groebner(budget).index,
+                                     ctx)
+                memo[k] = nf
+            vec_axpy(new, c, t - k, nf, p)
         out.append(new)
     return out
 
@@ -74,8 +88,8 @@ def frobenius_module(M: PresentedModule, n: int,
     """
     _check_minimal(M)
     return PresentedModule(M.ring, M.ambient_rank,
-                           _bracket(M.ring, M.columns, _power(M.ring, n)),
-                           budget)
+                           _bracket(M.ring, M.columns, _power(M.ring, n),
+                                    budget), budget)
 
 
 def frobenius_complex(G: FreeComplex, n: int,
@@ -89,8 +103,7 @@ def frobenius_complex(G: FreeComplex, n: int,
     when G is a minimal resolution of M.
     """
     q = _power(G.ring, n)
-    diffs = [[_nf(G.ring, col, budget) for col in _bracket(G.ring, d, q)]
-             for d in G.differentials]
+    diffs = [_bracket(G.ring, d, q, budget) for d in G.differentials]
     return FreeComplex(G.ring, G.ranks, diffs, verify=False)
 
 
@@ -253,10 +266,10 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
                 or normal_form(ring.variable(i).frobenius_power(q),
                                gb).is_zero())
 
-    t = 0
-    while not all(in_J(i, ring.p ** t) for i in range(v)):
-        t += 1
-    return t
+    for t in count():
+        budget.check_cancel()
+        if all(in_J(i, ring.p ** t) for i in range(v)):
+            return t
 
 
 def kappa_upper_bound(ring: RingModel,

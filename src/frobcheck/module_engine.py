@@ -10,9 +10,10 @@ so one engine serves both layers; every reported presentation is over R
 with entries in normal form.
 
 On packed terms the module layer needs no exponent: a monomial product is
-one addition (``matmul``), a q-th power a multiplication of k(m) by q
-(``frobenius._bracket``), moving a term to row j subtracts j << PB, and
-its weighted degree is one shift. T & top is k(m), and it is 0 exactly
+one addition (``matmul``), a monomial's q-th power has key q * k(m)
+(``frobenius._bracket`` reduces it once per ring and adds its normal form
+by linearity), moving a term to row j subtracts j << PB, and its weighted
+degree is one shift. T & top is k(m), and it is 0 exactly
 for a unit entry. Every product is checked against the packed degree
 ceiling: ``reduce_full`` checks each term it picks, and over an ideal-free
 ring, where nothing is reduced, ``_nf`` checks each term itself.

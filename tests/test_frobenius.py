@@ -21,7 +21,7 @@ from frobcheck.frobenius import _bracket, _twisted_homology
 from frobcheck.module_engine import _nf, matmul, tor
 from conftest import (box_standard_monomials, colength, load_model,
                       model_path, monomials_of_degree, packed)
-from test_module_engine import RING_D, WEIGHTED, graded_rows
+from test_module_engine import RING_D, WEIGHTED, _columns, graded_rows
 
 
 def P(ring, s):
@@ -116,18 +116,49 @@ def _entries(ring, cols):
     return {k: Polynomial(ring, t) for k, t in terms.items()}
 
 
+def _bracket_reference(ring, cols, q):
+    """The nonzero entries of the q-th power of ``cols``, entry by entry,
+    by Polynomial arithmetic over S and normal_form; no memo involved."""
+    nfs = {k: ring.nf(e ** q) for k, e in _entries(ring, cols).items()}
+    return {k: e for k, e in nfs.items() if not e.is_zero()}
+
+
 def test_bracket_is_the_entrywise_power(corpus):
-    # every entry of [d] is the q-th power of d's entry, as Polynomial
-    # arithmetic over S computes it
+    # every entry of [d] is the normal form of the q-th power of d's entry
     for mf in corpus.values():
         ring = mf.ring
         res = minimal_free_resolution(residue_field(ring), 3)
         for d in res.differentials:
-            ref = _entries(ring, d)
             for n in (1, 2):
                 q = ring.p ** n
-                got = _entries(ring, _bracket(ring, d, q))
-                assert got == {k: e ** q for k, e in ref.items()}
+                assert _entries(ring, _bracket(ring, d, q)) == \
+                    _bracket_reference(ring, d, q)
+
+
+RING_A, RING_C = load_model("a.json").ring, load_model("c.json").ring
+
+
+@pytest.mark.parametrize("ring", [RING_C, RING_D, RING_A],
+                         ids=["C", "D", "A"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bracket_of_generated_columns(ring, data):
+    # C (weights 3,4,5), D (2,3) and the ideal-free A; the ring's memo
+    # persists from example to example, so later ones read it
+    r, t = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    shifts = [data.draw(st.integers(0, 3)) for _ in range(r)]
+    degrees = [data.draw(st.integers(1, 8)) for _ in range(t)]
+    d = _columns(ring, data.draw(graded_rows(ring, shifts, degrees)))
+    for q in (ring.p, ring.p ** 2):
+        want = _bracket_reference(ring, d, q)
+        first = _bracket(ring, d, q)
+        assert _entries(ring, first) == want
+        assert _bracket(ring, d, q) == first
+        # a caller may change what it was given: no memo value is shared
+        for col in first:
+            col.clear()
+            col[0] = 1
+        assert _entries(ring, _bracket(ring, d, q)) == want
 
 
 def test_bracket_past_the_degree_ceiling_raises():
@@ -136,8 +167,27 @@ def test_bracket_past_the_degree_ceiling_raises():
     ok = [packed(R.ctx, {(1, (4095, 0)): 1})]
     assert _entries(R, _bracket(R, ok, 8)) == \
         {(1, 0): R.variable(0) ** (8 * 4095)}
-    with pytest.raises(BudgetExceededError, match="packed_degree"):
-        _bracket(R, [packed(R.ctx, {(0, (4096, 0)): 1})], 8)
+    bad = [packed(R.ctx, {(0, (4096, 0)): 1})]
+    for _ in range(2):   # a raise stores nothing, so a second call raises
+        with pytest.raises(BudgetExceededError, match="packed_degree"):
+            _bracket(R, bad, 8)
+
+
+def test_frobenius_complex_polls_cancel_on_an_empty_memo():
+    # the resolution caches C's ideal basis, so only the bracket's
+    # reductions of monomial powers it has not seen reach cancel_check
+    ring = load_model("c.json").ring
+    res = minimal_free_resolution(residue_field(ring), 2)
+    assert ("bracket_nf", 5) not in ring._cache
+
+    class Cancelled(Exception):
+        pass
+
+    def cancel():
+        raise Cancelled()
+
+    with pytest.raises(Cancelled):
+        frobenius_complex(res, 1, Budget(cancel_check=cancel))
 
 
 def test_frobenius_twist_of_corpus_resolutions_is_a_complex(corpus):
@@ -393,6 +443,19 @@ def test_kappa_rejects_non_sop(model_b):
 def test_kappa_high_degree_sop(p, power, kappa):
     R = RingModel(p, ["x"])
     assert kappa_for_sop(R, [R.variable(0) ** power]) == kappa
+
+
+def test_kappa_scan_polls_cancel_per_step(monkeypatch):
+    # x^300 over F_2[x]: the scan tests t = 0, ..., 9. The s.o.p. basis is
+    # computed without the counting budget, so every poll is the scan's.
+    from frobcheck import frobenius, invariants
+    monkeypatch.setattr(frobenius, "sop_basis",
+                        lambda x, ring, budget: invariants.sop_basis(x, ring))
+    polls = []
+    R = RingModel(2, ["x"])
+    budget = Budget(cancel_check=lambda: polls.append(1))
+    assert kappa_for_sop(R, [R.variable(0) ** 300], budget) == 9
+    assert len(polls) >= 10
 
 
 @pytest.mark.parametrize("power, kappa", [
