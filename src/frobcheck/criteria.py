@@ -27,7 +27,7 @@ from .invariants import (canonical_module, cm_type_and_gorenstein,
                          is_cohen_macaulay, is_mcm, is_regular_sequence,
                          is_sop, quotient_by_sequence, rank_of_module,
                          ring_as_module)
-from .module_engine import (PresentedModule, ext, min_generators,
+from .module_engine import (PresentedModule, direct_sum, ext, min_generators,
                             minimal_free_resolution, minimalize,
                             module_length)
 
@@ -408,13 +408,18 @@ def check_gorenstein(ring: RingModel, method: str,
             return _skip(report, "ext_pushforward needs positive dimension")
         if n < 1:
             return _skip(report, "pushforward needs n >= 1")
-        pfm = cached_pushforward(ring, n, budget).minimalized(budget)
+        # Ext^i(f^n R, R), the sum of count copies of each Ext^i(P, R), is
+        # zero iff it is on the sum of the distinct blocks P
+        blocks = cached_pushforward(ring, n, budget).blocks(budget)
+        distinct = direct_sum(ring, [P for P, _ in blocks], budget)
         premise = True
         for i in range(1, d + 1):
-            zero = ext(pfm, ring_as_module(ring), i, budget).is_zero(budget)
+            zero = ext(distinct, ring_as_module(ring), i,
+                       budget).is_zero(budget)
             report.quantities[f"ext_{i}_fnR_R_zero"] = zero
             premise = premise and zero
-        report.quantities["mu_fnR"] = pfm.ambient_rank
+        report.quantities["mu_fnR"] = sum(k * P.ambient_rank
+                                          for P, k in blocks)
     else:  # tor_omega
         _require(x is not None, "tor_omega needs a s.o.p.")
         _require(is_sop(x, ring, budget), "x is not a full s.o.p. for R")

@@ -7,9 +7,12 @@ of the base-changed module. The q-th power is additive over F_p, so it is
 put in normal form from a per-ring memo of the monomials' powers. The
 pushforward realizes R viewed through the n-th Frobenius as a finite
 R-module on generators indexed by its standard residues, with relations
-read off from normal forms of monomials. Tor against the Frobenius has the
-two spec'd realizations; their lengths must agree, which tor_frobenius can
-enforce in one call.
+read off from normal forms of monomials. Over the graded R it splits into
+blocks, one per class of wdeg(a) mod q of its residues a; many blocks are
+isomorphic, and the pushforward route of Tor, like the Ext criterion,
+computes once per distinct block and weights by its count. Tor against
+the Frobenius has the two spec'd realizations; their lengths must agree,
+which tor_frobenius can enforce in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
 from .invariants import sop_basis
 from .module_engine import (FreeComplex, Matrix, PresentedModule,
-                            minimal_free_resolution, minimalize,
+                            direct_sum, minimal_free_resolution, minimalize,
                             module_length, tor)
 
 
@@ -89,7 +92,7 @@ def frobenius_module(M: PresentedModule, n: int,
     _check_minimal(M)
     return PresentedModule(M.ring, M.ambient_rank,
                            _bracket(M.ring, M.columns, _power(M.ring, n),
-                                    budget), budget)
+                                    budget), budget, trusted=True)
 
 
 def frobenius_complex(G: FreeComplex, n: int,
@@ -118,19 +121,57 @@ def _twisted_homology(G: FreeComplex, n: int, i: int,
 
 class PushforwardModule:
     """f^n R presented on generators e_a, one per standard residue a in
-    [0,q)^v (x^a outside in(I)); ``minimalized`` caches the pruned form
-    used for Tor/Ext computations; ``n`` is the iteration count."""
+    [0,q)^v (x^a outside in(I)); ``n`` is the iteration count.
 
-    __slots__ = ("presentation", "residues", "n")
+    With e_a of degree wdeg(a)/q every relation is homogeneous, so the
+    generators of its terms x^(e div q) e_(e mod q) share wdeg(a) mod q:
+    f^n R is the direct sum of the blocks P_c spanned by the e_a with
+    wdeg(a) = c mod q, the (1/q)Z-grading of F_*R.
+    """
+
+    __slots__ = ("presentation", "residues", "n", "_blocks")
 
     def __init__(self, presentation: PresentedModule,
                  residues: Tuple[Mono, ...], n: int):
         self.presentation = presentation
         self.residues = residues
         self.n = n
+        self._blocks = None
 
-    def minimalized(self, budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-        return minimalize(self.presentation, budget)
+    def blocks(self, budget: Budget = DEFAULT_BUDGET
+               ) -> Tuple[Tuple[PresentedModule, int], ...]:
+        """(P, count) per distinct block P_c, P minimal; raises if a
+        relation spans two classes. Blocks are keyed by their minimal
+        presentation, ambient rank and sorted columns: equal keys are
+        isomorphic up to a degree shift, which lengths and zero-ness
+        ignore, and Tor and Ext are additive. Cached."""
+        if self._blocks is None:
+            pres = self.presentation
+            ring, q = pres.ring, _power(pres.ring, self.n)
+            pb, top = ring.ctx.pb, ring.ctx.top
+            cls = [ring.ctx.wdeg(a) % q for a in self.residues]
+            local, size = [], {}
+            for c in cls:
+                local.append(size.get(c, 0))
+                size[c] = local[-1] + 1
+            cols = {c: [] for c in size}
+            for col in pres.columns:
+                c = {cls[-(t >> pb)] for t in col}
+                if len(c) != 1:
+                    raise InternalConsistencyError(
+                        "pushforward relation spans residue classes "
+                        f"{sorted(c)} mod {q}")
+                cols[c.pop()].append({(t & top) - (local[-(t >> pb)] << pb): v
+                                      for t, v in col.items()})
+            counts = {}
+            for c in sorted(size):
+                P = minimalize(PresentedModule(ring, size[c], cols[c], budget,
+                                               trusted=True), budget)
+                key = P.ambient_rank, tuple(sorted(tuple(sorted(col.items()))
+                                                   for col in P.columns))
+                counts.setdefault(key, [P, 0])[1] += 1
+            self._blocks = tuple((P, k) for P, k in counts.values())
+        return self._blocks
 
     def __repr__(self) -> str:
         return (f"PushforwardModule(n={self.n}, "
@@ -147,7 +188,10 @@ def pushforward_presentation(ring: RingModel, n: int,
     standard a and minimal d with x^(qd+a) in in(I) give the relation
     x^d e_a - sum c_e x^(e div q) e_(e mod q) over NF(x^(qd+a)) = sum c_e
     x^e. Rewriting by them lowers x^(qd+a), down to terms with distinct
-    standard images, so they generate the kernel.
+    standard images, so they generate the kernel. The relations are built
+    in normal form: each x^(e div q) divides a standard x^e, so is
+    standard, and x^d is reduced when a lead of GB(I) divides it (x*y e_0
+    over x*y = 0).
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
@@ -173,13 +217,16 @@ def pushforward_presentation(ring: RingModel, n: int,
                                           for m_i, a_i in zip(m, a))
                                     for m in leads):
             e = tuple(q * d_i + a_i for d_i, a_i in zip(d, a))
-            terms = [(k, d, 1)]
-            for _, m, c in ctx.unpack(reduce_full({ctx.mono_key(e): 1}, gb,
-                                                  ctx)):
-                terms.append((index[tuple(x % q for x in m)],
-                              tuple(x // q for x in m), p - c))
-            cols.append(ctx.pack(terms))
-    pres = PresentedModule(ring, len(residues), cols, budget)
+            col = ctx.pack((index[tuple(x % q for x in m)],
+                            tuple(x // q for x in m), p - c)
+                           for _, m, c in ctx.unpack(reduce_full(
+                               {ctx.mono_key(e): 1}, gb, ctx)))
+            head = {ctx.mono_key(d): 1}
+            if any(mono_divides(m, d) for m in leads):
+                head = reduce_full(head, gb, ctx)
+            vec_axpy(col, 1, -(k << ctx.pb), head, p)
+            cols.append(col)
+    pres = PresentedModule(ring, len(residues), cols, budget, trusted=True)
     return PushforwardModule(pres, tuple(residues), n)
 
 
@@ -200,14 +247,18 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
 
     method="functor" takes homology at i of the Frobenius-twisted minimal
     resolution; method="pushforward" resolves M and tensors with the
-    pushforward presentation; method="both" runs the two and insists the
-    lengths agree (a cross-oracle; disagreement is an engine bug).
+    distinct blocks of the pushforward (``PushforwardModule.blocks``): for
+    each count k, Tor_i(M, P) on the sum P of the blocks that occur k times
+    is computed once, and the result is the direct sum of k copies of each;
+    method="both" runs the two and insists that the functor length equals
+    the sum of k * len Tor_i(M, P) (a cross-oracle; disagreement is an
+    engine bug).
     """
     if i < 0:
         raise ArgumentError("Tor index must be nonnegative")
     if method not in ("functor", "pushforward", "both"):
         raise ArgumentError(f"unknown Tor method {method!r}")
-    out_f = out_p = None
+    out_f = parts = None
     if method in ("functor", "both"):
         res = minimal_free_resolution(M, i + 1, budget)
         if i > res.length:
@@ -216,13 +267,20 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
         else:
             out_f = _twisted_homology(res, n, i, budget)
     if method in ("pushforward", "both"):
-        pf = cached_pushforward(M.ring, n, budget)
-        out_p = tor(M, pf.minimalized(budget), i, budget)
+        # one engine call per count: splitting the distinct blocks further
+        # would add per-call work and save none
+        by_count = {}
+        for P, k in cached_pushforward(M.ring, n, budget).blocks(budget):
+            by_count.setdefault(k, []).append(P)
+        parts = [(tor(M, direct_sum(M.ring, Ps, budget), i, budget), k)
+                 for k, Ps in by_count.items()]
     if method == "functor":
         return out_f
     if method == "pushforward":
-        return out_p
-    len_f, len_p = module_length(out_f, budget), module_length(out_p, budget)
+        return direct_sum(M.ring, [h for h, k in parts for _ in range(k)],
+                          budget)
+    len_f = module_length(out_f, budget)
+    len_p = sum(k * module_length(h, budget) for h, k in parts)
     if len_f != len_p:
         raise InternalConsistencyError(
             f"Tor_{i}(M, f^{n}R) cross-oracle mismatch: functor gives "

@@ -35,12 +35,13 @@ way, so its rank is a Betti number too; its kernel is computed only up to
 the top degree of its generators, as far as a unit entry can lie. Each
 d_i d_(i+1) is checked there, once, not again on complexes built from it.
 Homology reads a module N only through relation bases (N^k's is shifted
-copies of N's), so N's columns are checked once, with its basis.
+copies of N's), so N's columns are checked once, with its basis. A direct
+sum is built the same way, from its summands' bases.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _engine
@@ -203,22 +204,24 @@ class PresentedModule:
 
     ``columns`` are packed vectors (see the module docstring). Entries are
     normal forms modulo the ring ideal; identically zero relation columns
-    are dropped. Instances are immutable; homological caches (Groebner
-    basis of the relation submodule, minimal form, length, resolution) are
-    invisible memoization.
+    are dropped. With ``trusted`` the columns are the module layer's own,
+    already in normal form, and are kept as given, uncopied. Instances are
+    immutable; homological caches (Groebner basis of the relation
+    submodule, minimal form, length, resolution) are invisible memoization.
     """
 
     __slots__ = ("ring", "ambient_rank", "_columns", "_cache")
 
     def __init__(self, ring: RingModel, ambient_rank: int,
-                 columns: Sequence[PackedVec], budget: Budget = DEFAULT_BUDGET):
+                 columns: Sequence[PackedVec], budget: Budget = DEFAULT_BUDGET,
+                 trusted: bool = False):
         self.ring = ring
         self.ambient_rank = int(ambient_rank)
         cleaned: List[PackedVec] = []
         for col in columns:
             if not _in_rows(ring, col, self.ambient_rank):
                 raise ArgumentError("relation entry outside ambient rank")
-            nf = _nf(ring, col, budget)
+            nf = col if trusted else _nf(ring, col, budget)
             if nf:
                 cleaned.append(nf)
         self._columns = tuple(cleaned)
@@ -448,7 +451,8 @@ def minimalize(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
                                          M.ambient_rank, budget)
         cached = M
         if len(kept) < M.ambient_rank:
-            cached = PresentedModule(M.ring, len(kept), cols, budget)
+            cached = PresentedModule(M.ring, len(kept), cols, budget,
+                                     trusted=True)
             cached._cache["minimal"] = cached
         M._cache["minimal"] = cached
     return cached
@@ -706,29 +710,92 @@ def _tensor_presented(N: PresentedModule, k: int,
     """The relation basis of N^k, generator (free index b, N index j) at
     position b*rN + j, cached on N.
 
-    It is k shifted copies of N's basis: a copy's vectors stay inside
-    their block of positions, so no S-pair or reduction ever mixes two
-    blocks and the copies together form the reduced basis. They are listed
-    by block, last block first, which is the order by lead that
-    ``buchberger_flat`` returns. A packed copy moves to block b by
-    subtracting (b * rN) << pb. Only N's own basis costs a Buchberger call,
-    and it checks that N is graded. A free N^k's basis is the ideal padding.
+    It is k shifted copies of N's basis (``_stacked``). Only N's own basis
+    costs a Buchberger call, and it checks that N is graded. A free N^k's
+    basis is the ideal padding.
     """
     key = ("tensor", k)
     gb = N._cache.get(key)
     if gb is None:
         ring, rn = N.ring, N.ambient_rank
         if k and N.columns:
-            base = N.relations_groebner(budget).index
-            copies = GIndex(ring.ctx)
-            for b in reversed(range(k)):
-                s = (b * rn) << ring.ctx.pb
-                for vec, lead in zip(base.elems, base.leads):
-                    copies.add({t - s: c for t, c in vec.items()}, lead - s)
+            copies = _stacked(ring,
+                              [(N.relations_groebner(budget).index, rn)] * k)
         else:
             copies = _ideal_padding(ring, k * rn, budget)
         gb = N._cache[key] = GroebnerBasis(ring, k * rn, copies)
     return gb
+
+
+def _stacked(ring: RingModel, bases: Sequence[Tuple[GIndex, int]]) -> GIndex:
+    """The reduced basis of a direct sum: each (basis, rank) moved past the
+    positions of those before it, by subtracting its offset << pb from
+    every packed term, and listed last block first, the order by lead that
+    ``buchberger_flat`` returns. No S-pair or reduction mixes blocks."""
+    offsets = list(accumulate([r for _, r in bases], initial=0))
+    out = GIndex(ring.ctx)
+    for (base, _), off in zip(reversed(bases), reversed(offsets[:-1])):
+        s = off << ring.ctx.pb
+        for vec, lead in zip(base.elems, base.leads):
+            out.add({t - s: c for t, c in vec.items()}, lead - s)
+    return out
+
+
+def _unit_basis(ring: RingModel, rank: int) -> GIndex:
+    """The reduced basis of all of S^rank: its unit vectors, by lead."""
+    out = GIndex(ring.ctx)
+    for j in reversed(range(rank)):
+        out.add({-(j << ring.ctx.pb): 1}, -(j << ring.ctx.pb))
+    return out
+
+
+def _stacked_columns(ring: RingModel, mods: Sequence[PresentedModule]
+                     ) -> Matrix:
+    """The modules' relation columns side by side, each module's rows
+    after those of the modules before it."""
+    cols: Matrix = []
+    off = 0
+    for M in mods:
+        s = off << ring.ctx.pb
+        cols += [{t - s: c for t, c in col.items()} for col in M.columns]
+        off += M.ambient_rank
+    return cols
+
+
+def direct_sum(ring: RingModel, summands: Sequence[PresentedModule],
+               budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
+    """M_1 (+) ... (+) M_k, each on the generators after those before it.
+
+    Plain summands give their block-diagonal presentation. With a homology
+    summand Z/(B + K) the sum is built like N^k (``_tensor_presented``),
+    from shifted copies of the summands' bases (S^r is a plain one's Z),
+    so ``is_zero`` and ``module_length`` need no new Buchberger call; its
+    columns are built when first read.
+    """
+    parts = [M for M in summands if M.ambient_rank]
+    rank = sum(M.ambient_rank for M in parts)
+    if not any("subquotient" in M._cache for M in parts):
+        return PresentedModule(ring, rank, _stacked_columns(ring, parts),
+                               budget, trusted=True)
+    subs = [M._cache.get("subquotient") or (None, M.relations_groebner(budget))
+            for M in parts]
+    mid = sum(b.ambient_rank for _, b in subs)
+    cycles = GroebnerBasis(ring, mid, _stacked(ring, [
+        (z.index if z is not None else _unit_basis(ring, b.ambient_rank),
+         b.ambient_rank) for z, b in subs]))
+    bounds = GroebnerBasis(ring, mid, _stacked(
+        ring, [(b.index, b.ambient_rank) for _, b in subs]))
+    S = PresentedModule.free(ring, rank)
+    S._cache["subquotient"] = cycles, bounds
+
+    def build() -> Tuple[PackedVec, ...]:
+        S._cache["gb"] = GroebnerBasis(ring, rank, _stacked(
+            ring, [(M.relations_groebner(budget).index, M.ambient_rank)
+                   for M in parts]))
+        return tuple(_stacked_columns(ring, parts))
+
+    S._columns = build
+    return S
 
 
 def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule

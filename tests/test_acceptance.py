@@ -172,7 +172,7 @@ def test_criterion_06_gorenstein_detection(corpus, budget):
     assert not tor_frobenius(omega_x, 1, 1, "functor",
                              budget).is_zero(budget)
     pf = pushforward_presentation(C.ring, 1, budget)
-    assert not ext(pf.minimalized(budget),
+    assert not ext(minimalize(pf.presentation, budget),
                    ring_as_module(C.ring), 1, budget).is_zero(budget)
     _pass(6, "D: type 1, all premises hold; C: type 2, all premises fail, "
              "Tor_1(omega/x, f^1R) != 0, Ext^1(f^1R, R) != 0, mu(omega) = 2")

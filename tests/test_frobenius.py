@@ -17,11 +17,13 @@ from frobcheck._engine import DEGREE_LIMIT
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.errors import BudgetExceededError
-from frobcheck.frobenius import _bracket, _twisted_homology
+from frobcheck.frobenius import (PushforwardModule, _bracket,
+                                 _twisted_homology, cached_pushforward)
 from frobcheck.module_engine import _nf, matmul, tor
 from conftest import (box_standard_monomials, colength, load_model,
                       model_path, monomials_of_degree, packed)
-from test_module_engine import RING_D, WEIGHTED, _columns, graded_rows
+from test_module_engine import (RING_D, WEIGHTED, _columns, disguised_pair,
+                                graded_rows)
 
 
 def P(ring, s):
@@ -159,6 +161,26 @@ def test_bracket_of_generated_columns(ring, data):
             col.clear()
             col[0] = 1
         assert _entries(ring, _bracket(ring, d, q)) == want
+
+
+@pytest.mark.parametrize("ring", [RING_C, RING_D, RING_A],
+                         ids=["C", "D", "A"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trusted_columns_are_normal_forms(ring, data):
+    # the constructor keeps trusted columns as given, so minimalize's
+    # rewrite, the Frobenius bracket, the pushforward relations and its
+    # blocks must hand it columns that _nf leaves unchanged
+    _, D = data.draw(disguised_pair(ring))
+    Dm = minimalize(D)
+    n = data.draw(st.integers(1, 2))
+    budget = Budget()
+    pf = cached_pushforward(ring, n)
+    mods = [Dm, frobenius_module(Dm, n), pf.presentation]
+    mods += [blk for blk, _ in pf.blocks()]
+    for N in mods:
+        assert [_nf(ring, col, budget) for col in N.columns] == \
+            list(N.columns)
 
 
 def test_bracket_past_the_degree_ceiling_raises():
@@ -305,14 +327,14 @@ def test_pushforward_is_mcm_over_cm_rings(model_c, model_d, budget):
     from frobcheck import is_mcm
     for mf in (model_d, model_c):
         pf = pushforward_presentation(mf.ring, 1, budget)
-        assert is_mcm(pf.minimalized(budget), budget)
+        assert is_mcm(minimalize(pf.presentation, budget), budget)
 
 
 def test_pushforward_free_over_regular(model_a):
     # flatness of Frobenius over a regular ring: f^n A is free of rank q^v
     for n in (1, 2):
         pf = pushforward_presentation(model_a.ring, n)
-        pm = pf.minimalized()
+        pm = minimalize(pf.presentation)
         assert pm.num_relations == 0
         assert pm.ambient_rank == (2 ** n) ** 2
 
@@ -324,13 +346,14 @@ def test_pushforward_minimal_generators(model_c, budget):
     q = 5
     gb = buchberger(list(C.ideal_gens)
                     + [C.variable(i) ** q for i in range(3)], C)
-    assert pf.minimalized(budget).ambient_rank == \
+    assert minimalize(pf.presentation, budget).ambient_rank == \
         colength(gb) == len(box_standard_monomials(gb)) == 15
 
 
 def test_pushforward_mu_is_hilbert_kunz_count(corpus):
-    # mu(f^n R) = len(R/m^[q] R) (Monsky, Math. Ann. 263, 1983), read off
-    # the leads of GB(I + m^[q]) with no pushforward code
+    # mu(f^n R) = sum of count * mu(P) over the distinct blocks P equals
+    # len(R/m^[q] R) (Monsky, Math. Ann. 263, 1983), read off the leads of
+    # GB(I + m^[q]) with no pushforward code
     for mf in corpus.values():
         R = mf.ring
         v = len(R.variables)
@@ -338,8 +361,9 @@ def test_pushforward_mu_is_hilbert_kunz_count(corpus):
             q = R.p ** n
             gb = buchberger(list(R.ideal_gens)
                             + [R.variable(i) ** q for i in range(v)], R)
-            assert pushforward_presentation(R, n).minimalized() \
-                .ambient_rank == colength(gb)
+            blocks = pushforward_presentation(R, n).blocks()
+            assert sum(c * blk.ambient_rank for blk, c in blocks) == \
+                colength(gb)
 
 
 def _box_pushforward(R, n):
@@ -362,10 +386,89 @@ def test_pushforward_matches_box_reference(corpus):
         R = mf.ring
         k = residue_field(R)
         ref = _box_pushforward(R, 1)
-        pf = pushforward_presentation(R, 1).minimalized()
+        pf = minimalize(pushforward_presentation(R, 1).presentation)
         assert pf.ambient_rank == ref.ambient_rank
         for i in (1, 2):
             assert module_length(tor(k, pf, i)) == module_length(tor(k, ref, i))
+
+
+def _residue_class(R, a, q):
+    return sum(w * e for w, e in zip(R.weights, a)) % q
+
+
+@pytest.mark.parametrize("name", "BCDE")
+def test_pushforward_relations_lie_in_one_residue_class(name, corpus):
+    # the (1/q)Z-grading: e_a has degree wdeg(a)/q, so every relation's
+    # generators share wdeg(a) mod q
+    R = corpus[name].ring
+    for n in (1, 2):
+        q = R.p ** n
+        pf = pushforward_presentation(R, n)
+        for col in pf.presentation.columns:
+            assert len({_residue_class(R, pf.residues[i], q)
+                        for i, _, _ in R.ctx.unpack(col)}) == 1
+
+
+# (n, counts of the distinct blocks): C's 5 and 25 blocks are one module
+BLOCK_COUNTS = {
+    "B": [(1, [1, 1, 1]), (2, [1] * 9)],
+    "C": [(1, [5]), (2, [25])],
+    "D": [(1, [4, 1]), (2, [9, 16])],
+    "E": [(1, [1, 1]), (2, [1, 3])],
+}
+
+
+@pytest.mark.parametrize("name", "BCDE")
+def test_pushforward_blocks_sum_to_the_unsplit_tor(name, corpus):
+    # sum of count * len Tor_i(k, P) against Tor_i(k, f^n R) on the unsplit
+    # minimal presentation, a test-local reference; the counts add up to
+    # the number of residue classes that occur
+    R = corpus[name].ring
+    k = residue_field(R)
+    for n, counts in BLOCK_COUNTS[name]:
+        pf = pushforward_presentation(R, n)
+        blocks = pf.blocks()
+        assert pf.blocks() is blocks
+        assert [c for _, c in blocks] == counts
+        assert sum(counts) == len({_residue_class(R, a, R.p ** n)
+                                   for a in pf.residues})
+        ref = minimalize(pf.presentation)
+        for i in (1, 2, 3):
+            want = module_length(tor(k, ref, i))
+            assert sum(c * module_length(tor(k, blk, i))
+                       for blk, c in blocks) == want
+            h = tor_frobenius(k, n, i, "pushforward")
+            assert module_length(h) == want
+            assert h.is_zero() == tor(k, ref, i).is_zero()
+
+
+def test_pushforward_route_returns_the_sum_of_block_tors(model_d):
+    # the direct sum's relation columns present a module of its length
+    D = model_d.ring
+    h = tor_frobenius(residue_field(D), 1, 2, "pushforward")
+    assert module_length(h) == 10
+    assert module_length(PresentedModule(D, h.ambient_rank, h.columns)) == 10
+
+
+def test_pushforward_blocks_reject_a_relation_across_classes(model_e):
+    # e_0 and e_1 have classes 0 and 1 mod 2; a relation joining them is
+    # not block-diagonal and is reported, not assumed away
+    E = model_e.ring
+    pf = pushforward_presentation(E, 1)
+    bad = PresentedModule(E, 3, list(pf.presentation.columns) + [
+        packed(E.ctx, {(0, (1, 0)): 1, (1, (1, 0)): 1})])
+    with pytest.raises(InternalConsistencyError, match="residue classes"):
+        PushforwardModule(bad, pf.residues, 1).blocks()
+
+
+def test_tor_both_routes_on_c_at_n3_default_budget(capsys):
+    # 125 blocks of one module: one Tor computation at the defaults
+    code = run(["tor", model_path("c.json"), "-m", "k", "-n", "3", "-i", "3",
+                "--method", "both"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "cross_oracle: agree" in out
+    assert out.count("length: 3000") == 2
 
 
 @pytest.mark.parametrize("name", ["b", "d", "e"])

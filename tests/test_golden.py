@@ -51,6 +51,10 @@ COMMANDS = {
     "info_e": "info {e}",
     "tor_b_k_n5_i3_functor": "tor {b} -m k -n 5 -i 3 --method functor",
     "tor_c_k_n2_i3_functor": "tor {c} -m k -n 2 -i 3 --method functor",
+    # C's pushforward splits into 5 isomorphic residue blocks
+    "tor_c_k_n1_i3_pushforward": "tor {c} -m k -n 1 -i 3 --method pushforward",
+    "check_gorenstein_c_ext_pushforward":
+        "check gorenstein {c} --method ext-pushforward",
 }
 
 

@@ -538,6 +538,29 @@ def test_tensor_powers_are_built_once(B):
     assert first == [K.homology_at(i).columns for i in range(3)]
 
 
+def test_direct_sum_reads_the_summands_bases(A, B):
+    # homology summands Z/(B + K) beside plain ones, zero ones and rank 0;
+    # zero-ness and length come from the stacked bases, and the relation
+    # columns, read afterwards, present a module of the same length
+    k = residue_field(B)
+    h = tor(k, k, 1)    # k^3: beta_1(k) = 3
+    unit = PresentedModule.from_rows(B, [[P(B, "1")]])
+    S = module_engine.direct_sum(B, [h, PresentedModule.free(B, 0), k, h,
+                                     unit])
+    assert S.ambient_rank == 2 * h.ambient_rank + 2
+    assert module_length(S) == 7 and not S.is_zero()
+    assert module_length(PresentedModule(B, S.ambient_rank, S.columns)) == \
+        module_length(S)
+    assert module_engine.direct_sum(B, [unit, unit]).is_zero()
+    exact = koszul_complex([P(A, "x"), P(A, "y")],
+                           ring_as_module(A)).homology_at(1)
+    assert exact.ambient_rank and exact.is_zero()
+    Z = module_engine.direct_sum(A, [exact, PresentedModule.from_rows(
+        A, [[P(A, "1")]]), exact])
+    assert Z.is_zero() and module_length(Z) == 0
+    assert module_engine.direct_sum(A, []).ambient_rank == 0
+
+
 # Reference wiring: each complex as a list of presented terms N^rank with
 # maps d (x) id, every term built eagerly, and Ext's indices wired by hand.
 

@@ -19,7 +19,7 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 # op -> (S-pairs, reduction steps, most reduce_full calls)
 PINNED = {
-    "tor {C} -m k -n 1 -i 2 --method both": (761, 2569, 2172),
+    "tor {C} -m k -n 1 -i 2 --method both": (229, 821, 714),
     "resolve {C} -m k -L 8": (2187, 5208, 8814),
 }
 
