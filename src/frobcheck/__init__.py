@@ -11,13 +11,12 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
 from .frobenius import (PushforwardModule, frobenius_complex,
                         frobenius_module, kappa_for_sop, kappa_upper_bound,
                         pushforward_presentation, tor_frobenius)
-from .invariants import (EulerCharacteristic, InvariantBundle,
-                         canonical_module, cm_type_and_gorenstein,
-                         depth_of_module, depth_of_ring, dimension_of_module,
+from .invariants import (EulerCharacteristic, canonical_module,
+                         cm_type_and_gorenstein, depth_of_module,
+                         depth_of_ring, dimension_of_module,
                          euler_characteristic, is_cohen_macaulay, is_mcm,
-                         is_regular_sequence, is_sop, module_invariants,
-                         quotient_by_sequence, rank_of_module, residue_field,
-                         ring_as_module)
+                         is_regular_sequence, is_sop, quotient_by_sequence,
+                         rank_of_module, residue_field, ring_as_module)
 from .module_engine import (FreeComplex, PresentedModule, ext,
                             koszul_complex, min_generators,
                             minimal_free_resolution, minimalize,

@@ -73,12 +73,6 @@ class Polynomial:
     def in_maximal_ideal(self) -> bool:
         return self.constant_term() == 0
 
-    def weighted_degree(self) -> int:
-        """Weighted degree of the leading monomial (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return max(self.ring.ctx.wdeg(m) for m in self.terms)
-
     def is_quasi_homogeneous(self) -> bool:
         degs = {self.ring.ctx.wdeg(m) for m in self.terms}
         return len(degs) <= 1
@@ -249,10 +243,6 @@ class RingModel:
             self.compatible(other)
             and self.ideal_groebner(budget).index.elems
             == other.ideal_groebner(budget).index.elems)
-
-    def full_signature(self) -> tuple:
-        return self.signature() + tuple(
-            sorted(tuple(sorted(g.terms.items())) for g in self.ideal_gens))
 
     def __repr__(self) -> str:
         gens = ", ".join(self.render_poly(g) for g in self.ideal_gens)

@@ -10,8 +10,9 @@ callable is polled before each reduction of the flat Groebner engine (S-pairs
 and tail reduction; a kernel is one such Groebner call), before each row a
 module normal form reduces (``module_engine._nf``), before each monomial
 power the Frobenius bracket first reduces (``frobenius._bracket``), at each
-residue of the pushforward walk and at each t of the kappa scan; raise from
-it to cancel a long computation.
+residue of the pushforward, once in its walk and once in its relation loop,
+before each determinant of a minor (``invariants._minors``) and at each t
+of the kappa scan; raise from it to cancel a long computation.
 """
 
 from __future__ import annotations

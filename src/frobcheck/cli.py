@@ -41,7 +41,7 @@ from .criteria import (CONSISTENT, PAPER_VIOLATION, CriterionReport, _fmt,
                        check_thm_kl, check_thm_main1, rigidity_scan)
 from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
-from .frobenius import frobenius_module, kappa_for_sop, tor_frobenius
+from .frobenius import frobenius_module, kappa_upper_bound, tor_frobenius
 from .invariants import cm_type_and_gorenstein, depth_of_ring
 from .module_engine import (Matrix, PresentedModule, minimal_free_resolution,
                             minimalize, module_length)
@@ -177,17 +177,32 @@ class ModelFile:
         return self.sops[name]
 
 
-def _require_loc(poly: Polynomial, ring: RingModel, path: str) -> None:
-    if poly.is_zero():
-        return
-    if not poly.is_quasi_homogeneous():
-        raise ModelError(
-            f"{path}: {ring.render_poly(poly)!r} is not quasi-homogeneous "
-            f"for weights {ring.weights}")
-    if not poly.in_maximal_ideal():
-        raise ModelError(
-            f"{path}: {ring.render_poly(poly)!r} has a constant term; "
-            "entries must lie in the maximal ideal")
+def _parse_polys(ring: RingModel, raw, path: str,
+                 zero: str = "") -> List[Polynomial]:
+    """Parse the list of polynomial strings at ``path``. Element k, at
+    ``path[k]``, must be quasi-homogeneous inside the maximal ideal, and
+    nonzero if ``zero`` names the error for a zero element."""
+    if not isinstance(raw, list):
+        raise ModelError(f"{path}: must be a list of polynomial strings")
+    out = []
+    for k, s in enumerate(raw):
+        epath = f"{path}[{k}]"
+        if not isinstance(s, str):
+            raise ModelError(f"{epath}: must be a string")
+        e = parse_polynomial(ring, s, epath)
+        if e.is_zero():
+            if zero:
+                raise ModelError(f"{epath}: {zero}")
+        elif not e.is_quasi_homogeneous():
+            raise ModelError(
+                f"{epath}: {ring.render_poly(e)!r} is not quasi-homogeneous "
+                f"for weights {ring.weights}")
+        elif not e.in_maximal_ideal():
+            raise ModelError(
+                f"{epath}: {ring.render_poly(e)!r} has a constant term; "
+                "entries must lie in the maximal ideal")
+        out.append(e)
+    return out
 
 
 def parse_model(data) -> ModelFile:
@@ -232,19 +247,8 @@ def parse_model(data) -> ModelFile:
     except ArgumentError as e:
         raise ModelError(str(e)) from e
 
-    ideal_raw = obj.get("ideal", [])
-    if not isinstance(ideal_raw, list):
-        raise ModelError("ideal: must be a list of polynomial strings")
-    gens = []
-    for k, s in enumerate(ideal_raw):
-        path = f"ideal[{k}]"
-        if not isinstance(s, str):
-            raise ModelError(f"{path}: must be a string")
-        g = parse_polynomial(shell, s, path)
-        _require_loc(g, shell, path)
-        if g.is_zero():
-            raise ModelError(f"{path}: generator is zero")
-        gens.append(g)
+    gens = _parse_polys(shell, obj.get("ideal", []), "ideal",
+                        "generator is zero")
     try:
         ring = RingModel(p, variables, weights, gens,
                          is_domain=bool(flags.get("domain", False)),
@@ -282,15 +286,7 @@ def parse_model(data) -> ModelFile:
                 width = len(row)
             elif len(row) != width:
                 raise ModelError(f"{path}: ragged relations matrix")
-            out_row = []
-            for j, s in enumerate(row):
-                epath = f"{path}.relations[{i}][{j}]"
-                if not isinstance(s, str):
-                    raise ModelError(f"{epath}: must be a string")
-                e = parse_polynomial(ring, s, epath)
-                _require_loc(e, ring, epath)
-                out_row.append(e)
-            rows.append(out_row)
+            rows.append(_parse_polys(ring, row, f"{path}.relations[{i}]"))
         try:
             modules[name] = PresentedModule.from_rows(ring, rows,
                                                       ambient_rank=rank)
@@ -302,21 +298,8 @@ def parse_model(data) -> ModelFile:
     if not isinstance(sops_raw, dict):
         raise ModelError("sops: must be an object")
     for name in sops_raw:
-        seq = sops_raw[name]
-        path = f"sops[{name}]"
-        if not isinstance(seq, list):
-            raise ModelError(f"{path}: must be a list of polynomial strings")
-        elems = []
-        for k, s in enumerate(seq):
-            epath = f"{path}[{k}]"
-            if not isinstance(s, str):
-                raise ModelError(f"{epath}: must be a string")
-            e = parse_polynomial(ring, s, epath)
-            _require_loc(e, ring, epath)
-            if e.is_zero():
-                raise ModelError(f"{epath}: element is zero")
-            elems.append(e)
-        sops[name] = tuple(elems)
+        sops[name] = tuple(_parse_polys(ring, sops_raw[name],
+                                        f"sops[{name}]", "element is zero"))
 
     canonical = render_model_dict(ring, modules, sops)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -363,10 +346,6 @@ def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
     return json.dumps(out, indent=2) + "\n"
 
 
-def render_model(mf: ModelFile) -> str:
-    return render_model_dict(mf.ring, mf.modules, mf.sops)
-
-
 # ---------------------------------------------------------------------------
 # budgets from the environment
 
@@ -393,23 +372,12 @@ def budget_from_env(env=None) -> Budget:
 # payload helpers
 
 def _kappa_bound(mf: ModelFile, budget: Budget) -> Tuple[int, Dict[str, int]]:
-    """Least kappa over the model's s.o.p.s plus the variable heuristic;
-    candidates that are not a system of parameters are skipped."""
+    """kappa_upper_bound over the model's s.o.p.s plus the variables."""
     ring = mf.ring
     cands = dict(sorted(mf.sops.items()))
     cands.setdefault("variables", tuple(ring.variable(i)
                                         for i in range(len(ring.variables))))
-    per = {}
-    for name, seq in cands.items():
-        try:
-            per[name] = kappa_for_sop(ring, seq, budget)
-        except PreconditionError:
-            continue
-    if not per:
-        raise PreconditionError(
-            "no valid s.o.p. candidate available for a kappa upper bound; "
-            "add one to the model's sops")
-    return min(per.values()), per
+    return kappa_upper_bound(ring, cands, budget)
 
 
 def _matrix_lines(ring: RingModel, cols: Matrix, nrows: int, indent: str

@@ -21,7 +21,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from .algebra_kernel import INFINITE, Polynomial, RingModel
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ArgumentError, PreconditionError
-from .frobenius import cached_pushforward, frobenius_module, tor_frobenius
+from .frobenius import (frobenius_module, pushforward_presentation,
+                        tor_frobenius)
 from .invariants import (canonical_module, cm_type_and_gorenstein,
                          depth_of_module, depth_of_ring, dimension_of_module,
                          is_cohen_macaulay, is_mcm, is_regular_sequence,
@@ -98,8 +99,8 @@ _NO_RANK = ("rank unavailable: ring is not flagged a domain and no rank was "
             "supplied")
 
 
-def _module_premises(report: CriterionReport, M: PresentedModule, n: int,
-                     kappa_bound: int, budget: Budget, what: str) -> int:
+def _module_premises(M: PresentedModule, n: int, kappa_bound: int,
+                     budget: Budget, what: str) -> int:
     """Hypotheses shared by the module statements; returns dim R."""
     d = M.ring.dim(budget)
     _require(d > 0, f"{what} needs positive dimension")
@@ -182,7 +183,7 @@ def check_thm_main1(M: PresentedModule, n: int, kappa_bound: int,
     ring = M.ring
     report = CriterionReport("thm_main1", inputs={
         "module": module_name, "n": n, "kappa_upper_bound": kappa_bound})
-    _module_premises(report, M, n, kappa_bound, budget, "theorem")
+    _module_premises(M, n, kappa_bound, budget, "theorem")
     rank = _rank(M, rank_override, budget)
     if rank is None:
         return _skip(report, _NO_RANK)
@@ -217,7 +218,7 @@ def check_thm_kl(M: PresentedModule, n: int, kappa_bound: int,
                  module_name: str = "M") -> CriterionReport:
     report = CriterionReport("thm_kl", inputs={
         "module": module_name, "n": n, "kappa_upper_bound": kappa_bound})
-    d = _module_premises(report, M, n, kappa_bound, budget, "theorem")
+    d = _module_premises(M, n, kappa_bound, budget, "theorem")
     rank = _rank(M, rank_override, budget)
     if rank is None:
         return _skip(report, _NO_RANK)
@@ -260,7 +261,7 @@ def check_cor_free(M: PresentedModule, x: Sequence[Polynomial], n: int,
     report = CriterionReport("cor_free", inputs={
         "module": module_name, "sop": sop_name, "n": n,
         "kappa_upper_bound": kappa_bound})
-    d = _module_premises(report, M, n, kappa_bound, budget, "corollary")
+    d = _module_premises(M, n, kappa_bound, budget, "corollary")
     i_max, n_max, n_lo = _tor_grid(d, n, kappa_bound, i_max, n_max, "(4)")
     _require(is_sop(x, ring, budget), "x is not a full s.o.p. for R")
     if not is_mcm(M, budget):
@@ -321,7 +322,7 @@ def check_cor_codim1(M: PresentedModule, x: Sequence[Polynomial], n: int,
     report = CriterionReport("cor_codim1", inputs={
         "module": module_name, "sop": sop_name, "n": n,
         "kappa_upper_bound": kappa_bound})
-    d = _module_premises(report, M, n, kappa_bound, budget, "corollary")
+    d = _module_premises(M, n, kappa_bound, budget, "corollary")
     i_max, n_max, n_lo = _tor_grid(d, n, kappa_bound, i_max, n_max, "(3)")
     dim_m = dimension_of_module(M, budget)
     if d - dim_m != 1:
@@ -410,7 +411,7 @@ def check_gorenstein(ring: RingModel, method: str,
             return _skip(report, "pushforward needs n >= 1")
         # Ext^i(f^n R, R), the sum of count copies of each Ext^i(P, R), is
         # zero iff it is on the sum of the distinct blocks P
-        blocks = cached_pushforward(ring, n, budget).blocks(budget)
+        blocks = pushforward_presentation(ring, n, budget).blocks(budget)
         distinct = direct_sum(ring, [P for P, _ in blocks], budget)
         premise = True
         for i in range(1, d + 1):

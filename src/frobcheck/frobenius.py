@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ._engine import (DEGREE_LIMIT, Mono, mono_divides, past_ceiling,
                       reduce_full, vec_axpy)
@@ -191,10 +191,14 @@ def pushforward_presentation(ring: RingModel, n: int,
     standard images, so they generate the kernel. The relations are built
     in normal form: each x^(e div q) divides a standard x^e, so is
     standard, and x^d is reduced when a lead of GB(I) divides it (x*y e_0
-    over x*y = 0).
+    over x*y = 0). Memoized on the ring under ("pushforward", n); the
+    walk and the relation loop each poll the cancel check once per residue.
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
+    key = ("pushforward", n)
+    if key in ring._cache:
+        return ring._cache[key]
     q, p, ctx = _power(ring, n), ring.p, ring.ctx
     gb = ring.ideal_groebner(budget).index
     leads = gb.lead_monos()
@@ -212,6 +216,7 @@ def pushforward_presentation(ring: RingModel, n: int,
     index = {a: k for k, a in enumerate(residues)}
     cols: Matrix = []
     for k, a in enumerate(residues):
+        budget.check_cancel()
         # x^(qd + a) is in in(I) iff d >= ceil((m - a) / q) for a lead m
         for d in _minimal_monomials(tuple(max(-((a_i - m_i) // q), 0)
                                           for m_i, a_i in zip(m, a))
@@ -227,18 +232,8 @@ def pushforward_presentation(ring: RingModel, n: int,
             vec_axpy(col, 1, -(k << ctx.pb), head, p)
             cols.append(col)
     pres = PresentedModule(ring, len(residues), cols, budget, trusted=True)
-    return PushforwardModule(pres, tuple(residues), n)
-
-
-def cached_pushforward(ring: RingModel, n: int,
-                       budget: Budget = DEFAULT_BUDGET) -> PushforwardModule:
-    """pushforward_presentation, memoized on the ring."""
-    key = ("pushforward", n)
-    pf = ring._cache.get(key)
-    if pf is None:
-        pf = pushforward_presentation(ring, n, budget)
-        ring._cache[key] = pf
-    return pf
+    ring._cache[key] = PushforwardModule(pres, tuple(residues), n)
+    return ring._cache[key]
 
 
 def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
@@ -270,7 +265,7 @@ def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
         # one engine call per count: splitting the distinct blocks further
         # would add per-call work and save none
         by_count = {}
-        for P, k in cached_pushforward(M.ring, n, budget).blocks(budget):
+        for P, k in pushforward_presentation(M.ring, n, budget).blocks(budget):
             by_count.setdefault(k, []).append(P)
         parts = [(tor(M, direct_sum(M.ring, Ps, budget), i, budget), k)
                  for k, Ps in by_count.items()]
@@ -331,14 +326,24 @@ def kappa_for_sop(ring: RingModel, x: Sequence[Polynomial],
 
 
 def kappa_upper_bound(ring: RingModel,
-                      candidates: Sequence[Sequence[Polynomial]],
-                      budget: Budget = DEFAULT_BUDGET) -> int:
-    """Minimum of kappa_for_sop over the candidate systems of parameters.
+                      candidates: Dict[str, Sequence[Polynomial]],
+                      budget: Budget = DEFAULT_BUDGET
+                      ) -> Tuple[int, Dict[str, int]]:
+    """(least kappa_for_sop, kappa_for_sop per candidate) over the named
+    candidates that are a system of parameters; the others are skipped.
 
     Any n >= this bound satisfies the theorems' hypothesis n >= kappa(R);
     the true infimum may be smaller, so the value is only ever consumed as
-    an upper bound.
+    an upper bound. Raises PreconditionError when no candidate is an s.o.p.
     """
-    if not candidates:
-        raise ArgumentError("kappa_upper_bound needs at least one candidate")
-    return min(kappa_for_sop(ring, x, budget) for x in candidates)
+    per = {}
+    for name, x in candidates.items():
+        try:
+            per[name] = kappa_for_sop(ring, x, budget)
+        except PreconditionError:
+            continue
+    if not per:
+        raise PreconditionError(
+            "no valid s.o.p. candidate available for a kappa upper bound; "
+            "add one to the model's sops")
+    return min(per.values()), per

@@ -77,9 +77,12 @@ def _minors(ring: RingModel, M: PresentedModule, size: int, budget: Budget
     count = comb(r, size) * comb(t, size)
     budget.check_minors(count)
     entries = M.rows()
-    return [_determinant(ring, entries, rset, cset)
-            for cset in combinations(range(t), size)
-            for rset in combinations(range(r), size)]
+    out = []
+    for cset in combinations(range(t), size):
+        for rset in combinations(range(r), size):
+            budget.check_cancel()
+            out.append(_determinant(ring, entries, rset, cset))
+    return out
 
 
 def dimension_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
@@ -289,31 +292,3 @@ def cm_type_and_gorenstein(ring: RingModel, budget: Budget = DEFAULT_BUDGET
     ring._cache["type_gorenstein"] = result
     return result
 
-
-# ---------------------------------------------------------------------------
-# bundles
-
-@dataclass(frozen=True)
-class InvariantBundle:
-    dim: int
-    depth: int
-    codim: int
-    is_MCM: bool
-    rank: Optional[int]
-    mu: int
-
-
-def module_invariants(M: PresentedModule, budget: Budget = DEFAULT_BUDGET,
-                      rank_override: Optional[int] = None) -> InvariantBundle:
-    dim_m = dimension_of_module(M, budget)
-    depth_m = depth_of_module(M, budget)
-    rank = rank_override if rank_override is not None \
-        else rank_of_module(M, budget)
-    return InvariantBundle(
-        dim=dim_m,
-        depth=depth_m,
-        codim=M.ring.dim(budget) - dim_m,
-        is_MCM=depth_m == M.ring.dim(budget),
-        rank=rank,
-        mu=min_generators(M, budget),
-    )

@@ -563,9 +563,6 @@ class FreeComplex:
             return list(self.differentials[i - 1])
         return [dict() for _ in range(self.rank(i))]
 
-    def betti_numbers(self) -> Tuple[int, ...]:
-        return self.ranks
-
     def homology_at(self, i: int, budget: Budget = DEFAULT_BUDGET
                     ) -> PresentedModule:
         """H_i(F (x) N) = ker(d_i (x) id) / im(d_{i+1} (x) id).

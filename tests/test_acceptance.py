@@ -253,7 +253,7 @@ def test_criterion_09_auslander_buchsbaum(corpus):
     kE = corpus["E"].module("k")
     finite, _ = pd_is_finite(kE)
     assert not finite
-    assert minimal_free_resolution(kE, 2).betti_numbers() == (1, 2, 2)
+    assert minimal_free_resolution(kE, 2).ranks == (1, 2, 2)
     _pass(9, f"depth + pd = depth R on {checked} finite-pd modules; "
              "pd(k over E) infinite with Betti (1, 2, 2)")
 

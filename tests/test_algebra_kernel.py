@@ -81,7 +81,7 @@ def brute_force_colength(ring, gens, maxdeg):
         index = {m: i for i, m in enumerate(monos)}
         rows = []
         for g in gens:
-            gdeg = g.weighted_degree()
+            gdeg = max(map(ring.ctx.wdeg, g.terms), default=0)
             if gdeg > d:
                 continue
             for m in monos_by_deg.get(d - gdeg, []):

@@ -30,7 +30,7 @@ def test_pd_residue_field_node(model_e):
     finite, pd = pd_is_finite(residue_field(model_e.ring))
     assert not finite and pd is None
     res = minimal_free_resolution(residue_field(model_e.ring), 2)
-    assert res.betti_numbers() == (1, 2, 2)
+    assert res.ranks == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from frobcheck import (ArgumentError, FreeComplex, InternalConsistencyError,
                        frobenius_module, is_sop, kappa_for_sop,
                        kappa_upper_bound, minimal_free_resolution, minimalize,
                        module_length, normal_form, pushforward_presentation,
-                       residue_field, tor_frobenius)
+                       rank_of_module, residue_field, tor_frobenius)
 from frobcheck._engine import DEGREE_LIMIT
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.errors import BudgetExceededError
 from frobcheck.frobenius import (PushforwardModule, _bracket,
-                                 _twisted_homology, cached_pushforward)
+                                 _twisted_homology)
 from frobcheck.module_engine import _nf, matmul, tor
 from conftest import (box_standard_monomials, colength, load_model,
                       model_path, monomials_of_degree, packed)
@@ -175,7 +175,7 @@ def test_trusted_columns_are_normal_forms(ring, data):
     Dm = minimalize(D)
     n = data.draw(st.integers(1, 2))
     budget = Budget()
-    pf = cached_pushforward(ring, n)
+    pf = pushforward_presentation(ring, n)
     mods = [Dm, frobenius_module(Dm, n), pf.presentation]
     mods += [blk for blk, _ in pf.blocks()]
     for N in mods:
@@ -308,18 +308,28 @@ def test_pushforward_generator_count_is_standard_residues(corpus):
 
 def test_pushforward_budget(model_c):
     # no generator limit: C at n = 2 needs 125 residues of 5^6; the walk
-    # still polls the cancel check
+    # polls the cancel check once per residue, and the relation loop once
+    # more per residue. Each call runs on a freshly loaded C, since the
+    # result is memoized on the ring, with its ideal basis computed first,
+    # so that the pushforward's own polls are the only ones
     pf = pushforward_presentation(model_c.ring, 2)
     assert pf.presentation.ambient_rank == 125
 
     class Cancelled(Exception):
         pass
 
-    def cancel():
-        raise Cancelled()
+    for fire_at in (1, len(pf.residues) + 1):
+        calls = []
 
-    with pytest.raises(Cancelled):
-        pushforward_presentation(model_c.ring, 2, Budget(cancel_check=cancel))
+        def cancel():
+            calls.append(1)
+            if len(calls) == fire_at:
+                raise Cancelled()
+
+        ring = load_model("c.json").ring
+        ring.ideal_groebner()
+        with pytest.raises(Cancelled):
+            pushforward_presentation(ring, 2, Budget(cancel_check=cancel))
 
 
 def test_pushforward_is_mcm_over_cm_rings(model_c, model_d, budget):
@@ -337,6 +347,18 @@ def test_pushforward_free_over_regular(model_a):
         pm = minimalize(pf.presentation)
         assert pm.num_relations == 0
         assert pm.ambient_rank == (2 ** n) ** 2
+
+
+@pytest.mark.parametrize("key,n", [("A", 1), ("A", 2), ("B", 1), ("C", 1),
+                                   ("C", 2), ("D", 1), ("D", 2)])
+def test_pushforward_rank_through_the_blocks(corpus, key, n):
+    # Kunz: over a domain R of dimension d, f^n R has rank q^d, and rank
+    # is additive over the blocks. B at n = 2 is left out: the minors of
+    # its blocks pass the default max_minors
+    ring = corpus[key].ring
+    blocks = pushforward_presentation(ring, n).blocks()
+    assert sum(k * rank_of_module(P) for P, k in blocks) == \
+        ring.p ** (n * ring.dim())
 
 
 def test_pushforward_minimal_generators(model_c, budget):
@@ -636,9 +658,17 @@ def test_kappa_matches_unbounded_scan(data):
 
 def test_kappa_upper_bound_minimum(model_b):
     B = model_b.ring
-    cands = [[P(B, "y"), P(B, "z")], [P(B, "y+z"), P(B, "x")]]
-    per = [kappa_for_sop(B, c) for c in cands]
-    assert kappa_upper_bound(B, cands) == min(per) == 1
+    cands = {"yz": [P(B, "y"), P(B, "z")], "sum": [P(B, "y+z"), P(B, "x")]}
+    per = {name: kappa_for_sop(B, x) for name, x in cands.items()}
+    assert kappa_upper_bound(B, cands) == (min(per.values()), per)
+    assert min(per.values()) == 1
+    # a candidate that is not a system of parameters is skipped
+    assert kappa_upper_bound(B, {"yy": [P(B, "y"), P(B, "y")], **cands}) \
+        == (1, per)
+    for none_left in ({"yy": [P(B, "y"), P(B, "y")], "y": [P(B, "y")]}, {}):
+        with pytest.raises(PreconditionError,
+                           match="no valid s.o.p. candidate"):
+            kappa_upper_bound(B, none_left)
 
 
 def test_kappa_certificates_reverify(model_b, model_d):

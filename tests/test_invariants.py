@@ -7,17 +7,18 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcheck import (DEFAULT_BUDGET, Polynomial, PresentedModule,
+from frobcheck import (DEFAULT_BUDGET, Budget, Polynomial, PresentedModule,
                        PreconditionError, RingModel, buchberger,
                        canonical_module, cm_type_and_gorenstein,
                        depth_of_module, depth_of_ring, dimension_of_module,
                        euler_characteristic, is_mcm, is_regular_sequence,
                        is_sop, krull_dimension, min_generators, minimalize,
-                       module_groebner, module_invariants, module_length,
-                       rank_of_module, residue_field, ring_as_module, tor)
+                       module_groebner, module_length, rank_of_module,
+                       residue_field, ring_as_module, tor)
 from frobcheck.cli import parse_polynomial
 from frobcheck.criteria import pd_is_finite
-from frobcheck.invariants import _minors, quotient_by_sequence
+from frobcheck.invariants import (_determinant, _minors,
+                                  quotient_by_sequence)
 from conftest import load_model, monomials_of_degree, packed
 
 
@@ -326,10 +327,26 @@ def test_auslander_buchsbaum(corpus):
     assert checked >= 8
 
 
-def test_module_invariants_bundle(model_b):
-    b = module_invariants(MF_of(model_b))
-    assert (b.dim, b.depth, b.codim, b.is_MCM, b.rank, b.mu) == \
-        (2, 2, 0, True, 1, 2)
+def test_minors_poll_cancel_per_determinant(model_b, monkeypatch):
+    # rank_of_module polls the cancel check before each determinant of a
+    # minor, so a check armed by the first determinant stops the next
+    class Cancelled(Exception):
+        pass
+
+    computed = []
+
+    def determinant(*args):
+        computed.append(1)
+        return _determinant(*args)
+
+    def cancel():
+        if computed:
+            raise Cancelled()
+
+    monkeypatch.setattr("frobcheck.invariants._determinant", determinant)
+    with pytest.raises(Cancelled):
+        rank_of_module(MF_of(model_b), Budget(cancel_check=cancel))
+    assert computed
 
 
 def test_length_identity_for_modules_with_rank(corpus):

@@ -1,10 +1,11 @@
-"""Exact work counters of two seed-0 benchmark ops, pinned.
+"""Exact work counters of four seed-0 benchmark ops, pinned.
 
-One traced benchmark worker runs ``tor {C} -m k -n 1 -i 2 --method both``
-and ``resolve {C} -m k -L 8`` on the seed-0 models, as the benchmark does;
-perfbench/ is only read. The S-pairs of ``buchberger_flat`` and the
-reduction steps of ``reduce_full`` must equal the recorded values, and the
-``reduce_full`` calls must stay at or below theirs. The counters are exact
+One traced benchmark worker runs the ops of ``PINNED`` on the seed-0
+models, as the benchmark does; perfbench/ is only read. ``info`` reaches
+the kappa bound and ``ext-pushforward`` the memoized pushforward. The
+S-pairs of ``buchberger_flat`` and the reduction steps of ``reduce_full``
+must equal the recorded values, and the ``reduce_full`` calls must stay at
+or below theirs. The counters are exact
 and reproducible, so any change to them is a change to the engine's work:
 a change that moves them must update the values here and say why.
 """
@@ -21,6 +22,8 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 PINNED = {
     "tor {C} -m k -n 1 -i 2 --method both": (229, 821, 714),
     "resolve {C} -m k -L 8": (2187, 5208, 8814),
+    "info {C}": (91, 199, 294),
+    "check gorenstein {C} --method ext-pushforward": (186, 648, 678),
 }
 
 
