@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _engine
@@ -420,18 +420,21 @@ def _add_shifted(a: List[int], b: List[int], shift: int) -> List[int]:
     return out
 
 
-def _k_polynomial(leads: Sequence[Mono]) -> List[int]:
-    """Coefficients of K(t) = (1 - t)^v H(t), H the Hilbert series of S/J.
+def _k_polynomial(leads: Sequence[Mono], weights: Sequence[int]
+                  ) -> List[int]:
+    """Coefficients of K(t) = prod(1 - t^w_i) H(t), H the Hilbert series of
+    S/J.
 
-    J is the monomial ideal generated by ``leads`` and S has the unit
-    grading. Pairwise coprime minimal generators give K = prod(1 - t^deg g).
-    Otherwise Bigatti's pivot recursion (JPAA 119, 1997) applies to a
-    monomial x_i^e outside J: K(J) = K(J + x_i^e) + t^e K(J : x_i^e), both
-    ideals strictly larger than J, so the recursion ends. x_i is the
-    variable in the most generators, at least two, so it is in a generator
-    that is not a pure power; e is the median of its exponents in those.
-    Each is below the exponent of a pure power of x_i in J, if there is
-    one, so x_i^e is outside J.
+    J is the monomial ideal generated by ``leads`` and x_i has degree
+    ``weights[i]``. Pairwise coprime minimal generators give
+    K = prod(1 - t^(w.g)). Otherwise Bigatti's pivot recursion (JPAA 119,
+    1997) applies to a monomial x_i^e outside J:
+    K(J) = K(J + x_i^e) + t^(w_i e) K(J : x_i^e), both ideals strictly
+    larger than J, so the recursion ends. x_i is the variable in the most
+    generators, at least two, so it is in a generator that is not a pure
+    power; e is the median of its exponents in those. Each is below the
+    exponent of a pure power of x_i in J, if there is one, so x_i^e is
+    outside J.
     """
     gens = _minimal_monomials(leads)
     if not gens:
@@ -444,7 +447,7 @@ def _k_polynomial(leads: Sequence[Mono]) -> List[int]:
     if occurs[i] <= 1:
         k = [1]
         for m in gens:
-            k = _add_shifted(k, [-c for c in k], sum(m))
+            k = _add_shifted(k, [-c for c in k], sum(map(mul, weights, m)))
         return k
     exps = sorted(m[i] for m in gens if m[i] and sum(map(bool, m)) > 1)
     e = exps[len(exps) // 2]
@@ -452,7 +455,8 @@ def _k_polynomial(leads: Sequence[Mono]) -> List[int]:
     plus = [m for m in gens if m[i] < e] + [pivot]
     colon = _minimal_monomials(
         m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens)
-    return _add_shifted(_k_polynomial(plus), _k_polynomial(colon), e)
+    return _add_shifted(_k_polynomial(plus, weights),
+                        _k_polynomial(colon, weights), weights[i] * e)
 
 
 def _divide_one_minus_t(k: List[int]) -> Optional[List[int]]:
@@ -473,9 +477,10 @@ def standard_monomials(leads: Sequence[Mono], nvars: int,
     (1 - t)^nvars divides K. The unit grading suffices: the monomials
     counted, and hence their number, do not depend on the weights.
     """
-    k = _k_polynomial(leads)
+    units = (1,) * nvars
+    k = _k_polynomial(leads, units)
     if inside is not None:
-        k = _add_shifted(k, [-c for c in _k_polynomial(inside)], 0)
+        k = _add_shifted(k, [-c for c in _k_polynomial(inside, units)], 0)
     for _ in range(nvars):
         k = _divide_one_minus_t(k)
         if k is None:
@@ -498,7 +503,7 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     nvars = len(gb.ring.variables)
     best = -1
     for leads in gb.leads_by_position():
-        k = _k_polynomial(leads)
+        k = _k_polynomial(leads, (1,) * nvars)
         if not any(k):
             continue
         order = 0

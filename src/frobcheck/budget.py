@@ -1,18 +1,18 @@
 """Resource budgets.
 
-Every potentially unbounded computation (Buchberger loops, minor enumeration)
-checks one of these limits and aborts with a BudgetExceededError naming the
-budget. Bounded work needs none: packed terms cap weighted degrees, the kappa
-scan ends at a degree its s.o.p.'s basis fixes, and f^n R has at most q^v
-generators. Limits are per top-level engine invocation, so a Budget is
-immutable and safe to share between threads. The optional cancel_check
-callable is polled before each reduction of the flat Groebner engine (S-pairs
-and tail reduction; a kernel is one such Groebner call), before each row a
-module normal form reduces (``module_engine._nf``), before each monomial
-power the Frobenius bracket first reduces (``frobenius._bracket``), at each
-residue of the pushforward, once in its walk and once in its relation loop,
-before each determinant of a minor (``invariants._minors``) and at each t
-of the kappa scan; raise from it to cancel a long computation.
+Every potentially unbounded computation (the Buchberger loops) checks one of
+these limits and aborts with a BudgetExceededError naming the budget.
+Bounded work needs none: packed terms cap weighted degrees, the kappa scan
+ends at a degree its s.o.p.'s basis fixes, f^n R has at most q^v generators,
+and rank is read off a relation basis' leads. Limits are per top-level
+engine invocation, so a Budget is immutable and safe to share between
+threads. The optional cancel_check callable is polled before each reduction
+of the flat Groebner engine (S-pairs and tail reduction; a kernel is one
+such Groebner call), before each row a module normal form reduces
+(``module_engine._nf``), before each monomial power the Frobenius bracket
+first reduces (``frobenius._bracket``), at each residue of the pushforward,
+once in its walk and once in its relation loop, and at each t of the kappa
+scan; raise from it to cancel a long computation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import BudgetExceededError
 class Budget:
     max_basis: int = 20000
     max_spairs: int = 1_000_000
-    max_minors: int = 100_000
     cancel_check: Optional[Callable[[], None]] = None
 
     def check_basis(self, size: int) -> None:
@@ -42,10 +41,6 @@ class Budget:
     def check_cancel(self) -> None:
         if self.cancel_check is not None:
             self.cancel_check()
-
-    def check_minors(self, count: int) -> None:
-        if count > self.max_minors:
-            raise BudgetExceededError("max_minors", self.max_minors)
 
 
 DEFAULT_BUDGET = Budget()

@@ -352,7 +352,6 @@ def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],
 _ENV_FIELDS = {
     "FROBCHECK_MAX_SPAIRS": "max_spairs",
     "FROBCHECK_MAX_BASIS": "max_basis",
-    "FROBCHECK_MAX_MINORS": "max_minors",
 }
 
 

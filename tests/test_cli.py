@@ -229,7 +229,8 @@ def test_budget_env_ignores_removed_variables():
     # older scripts still set these; the limits they named are gone
     assert budget_from_env({"FROBCHECK_MAX_DEGREE": "5",
                             "FROBCHECK_MAX_KAPPA_STEPS": "0",
-                            "FROBCHECK_MAX_PUSHFORWARD_GENS": "2"}) \
+                            "FROBCHECK_MAX_PUSHFORWARD_GENS": "2",
+                            "FROBCHECK_MAX_MINORS": "0"}) \
         == DEFAULT_BUDGET
 
 

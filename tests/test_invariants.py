@@ -2,23 +2,26 @@
 canonical module, type."""
 
 import warnings
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcheck import (DEFAULT_BUDGET, Budget, Polynomial, PresentedModule,
+from frobcheck import (DEFAULT_BUDGET, Polynomial, PresentedModule,
                        PreconditionError, RingModel, buchberger,
                        canonical_module, cm_type_and_gorenstein,
                        depth_of_module, depth_of_ring, dimension_of_module,
                        euler_characteristic, is_mcm, is_regular_sequence,
                        is_sop, krull_dimension, min_generators, minimalize,
                        module_groebner, module_length, rank_of_module,
-                       residue_field, ring_as_module, tor)
+                       pushforward_presentation, residue_field,
+                       ring_as_module, tor)
 from frobcheck.cli import parse_polynomial
 from frobcheck.criteria import pd_is_finite
-from frobcheck.invariants import (_determinant, _minors,
-                                  quotient_by_sequence)
+from frobcheck.invariants import _multiplicities, quotient_by_sequence
+from frobcheck.module_engine import direct_sum
 from conftest import load_model, monomials_of_degree, packed
 
 
@@ -42,6 +45,39 @@ def test_dimension_examples(model_b):
     assert dimension_of_module(zero) == -1
 
 
+def _determinant(ring, entries, rows, cols):
+    """Cofactor expansion along the first remaining column."""
+    if not rows:
+        return ring.one()
+    acc = ring.zero()
+    for t, r in enumerate(rows):
+        entry = entries[r][cols[0]]
+        if entry.is_zero():
+            continue
+        minor = _determinant(ring, entries, rows[:t] + rows[t + 1:], cols[1:])
+        acc = acc + (entry * minor).scale(1 if t % 2 == 0 else ring.p - 1)
+    return acc
+
+
+def _minors(M, size):
+    """Every size x size minor of the relations matrix of M."""
+    entries = M.rows()
+    return [_determinant(M.ring, entries, rset, cset)
+            for cset in combinations(range(M.num_relations), size)
+            for rset in combinations(range(M.ambient_rank), size)]
+
+
+def _ref_rank(M):
+    """Rank over a domain by minors: the ambient rank minus the largest
+    size of a minor that is nonzero modulo I."""
+    Mmin = minimalize(M)
+    r = Mmin.ambient_rank
+    for s in range(min(r, Mmin.num_relations), 0, -1):
+        if any(not M.ring.nf(m).is_zero() for m in _minors(Mmin, s)):
+            return r - s
+    return r
+
+
 def _ref_dimension(M):
     """dim M by the zeroth Fitting ideal: Supp M = V(I + Fitt_0(M))."""
     Mmin = minimalize(M)
@@ -50,7 +86,7 @@ def _ref_dimension(M):
         return -1
     if Mmin.num_relations < r:
         return M.ring.dim()
-    minors = _minors(M.ring, Mmin, r, DEFAULT_BUDGET)
+    minors = _minors(Mmin, r)
     gens = list(M.ring.ideal_gens) + [m for m in minors if not m.is_zero()]
     return krull_dimension(buchberger(gens, M.ring))
 
@@ -96,7 +132,12 @@ def test_krull_dimension_of_a_module_basis_is_the_largest_position():
 
 
 HYPOTHESIS_RINGS = {key: load_model(f"{key.lower()}.json").ring
-                    for key in "ABDE"}
+                    for key in "ABCDE"}
+# a weighted domain of dimension 2, the quadric cone xz = y^2: the corpus'
+# weighted rings C and D have dimension 1
+_S = RingModel(3, ["x", "y", "z"], [1, 2, 3])
+CONE = RingModel(3, ["x", "y", "z"], [1, 2, 3], [P(_S, "x*z-y^2")],
+                 is_domain=True)
 
 
 @st.composite
@@ -236,6 +277,36 @@ def test_rank_of_finite_length_power_past_the_minors_budget():
     assert rank_of_module(M, DEFAULT_BUDGET) == 0
 
 
+@pytest.mark.parametrize("key", "ABCD")
+def test_rank_matches_minors_on_the_corpus(corpus, key):
+    # the series rank e(M)/e(R) against the minors rank, on the model's
+    # modules, the residue field and the blocks of f_*R
+    mf = corpus[key]
+    blocks = pushforward_presentation(mf.ring, 1).blocks()
+    mods = ([residue_field(mf.ring)] + [M for _, M in sorted(mf.modules.items())]
+            + [blk for blk, _ in blocks])
+    for M in mods:
+        assert rank_of_module(M) == _ref_rank(M), M
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "D", "cone"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_matches_minors_on_graded_modules(key, data):
+    M = data.draw(graded_module(HYPOTHESIS_RINGS.get(key, CONE)))
+    assert rank_of_module(M) == _ref_rank(M)
+
+
+def test_rank_of_pushforward_over_the_weighted_cone():
+    # Kunz: f^n R has rank 3^(2n); at n = 1 each block's rank is also the
+    # minors rank
+    for n in (1, 2):
+        blocks = pushforward_presentation(CONE, n).blocks()
+        assert sum(k * rank_of_module(blk) for blk, k in blocks) == 9 ** n
+    for blk, _ in pushforward_presentation(CONE, 1).blocks():
+        assert rank_of_module(blk) == _ref_rank(blk)
+
+
 def test_rank_none_for_non_domain(model_e):
     assert rank_of_module(residue_field(model_e.ring)) is None
 
@@ -327,26 +398,47 @@ def test_auslander_buchsbaum(corpus):
     assert checked >= 8
 
 
-def test_minors_poll_cancel_per_determinant(model_b, monkeypatch):
-    # rank_of_module polls the cancel check before each determinant of a
-    # minor, so a check armed by the first determinant stops the next
-    class Cancelled(Exception):
-        pass
+def _wdeg(f):
+    """Weighted degree of a quasi-homogeneous element."""
+    return sum(w * e for w, e in zip(f.ring.weights, next(iter(f.terms))))
 
-    computed = []
 
-    def determinant(*args):
-        computed.append(1)
-        return _determinant(*args)
-
-    def cancel():
-        if computed:
-            raise Cancelled()
-
-    monkeypatch.setattr("frobcheck.invariants._determinant", determinant)
-    with pytest.raises(Cancelled):
-        rank_of_module(MF_of(model_b), Budget(cancel_check=cancel))
-    assert computed
+def test_series_multiplicity_decides_mcm(corpus):
+    # Serre: for an s.o.p. x of R and M with dim M = dim R,
+    # len(M/xM) >= e(x; M) = prod deg(x_i) * e_w(M), with equality iff M is
+    # MCM; e_w(M) = sum(_multiplicities(M)) / prod(w_i)
+    cases = []
+    for key, mf in sorted(corpus.items()):
+        R = mf.ring
+        cases += sorted(mf.modules.items())
+        cases += [(f"f_*R block {j}", blk) for j, (blk, _) in
+                  enumerate(pushforward_presentation(R, 1).blocks())]
+        cases.append(("R+k", direct_sum(R, [ring_as_module(R),
+                                            residue_field(R)])))
+    B = corpus["B"].ring
+    cases.append(("R+R/(y)",
+                  PresentedModule.from_rows(B, [[B.zero()], [P(B, "y")]])))
+    seen = []
+    for name, M in cases:
+        ring = M.ring
+        d = ring.dim()
+        if dimension_of_module(M) != d:
+            continue
+        e = sum(_multiplicities(ring, M.relations_groebner(),
+                                len(ring.variables) - d))
+        key = next(k for k, mf in corpus.items() if mf.ring is ring)
+        for sop_name, x in sorted(corpus[key].sops.items()):
+            if not is_sop(x, ring):
+                continue
+            length = module_length(quotient_by_sequence(M, x))
+            bound = Fraction(prod(map(_wdeg, x)) * e, prod(ring.weights))
+            mcm = is_mcm(M)
+            assert length >= bound and (length == bound) == mcm, \
+                (key, name, sop_name, length, bound, mcm)
+            seen.append((key, name, sop_name, length, bound, mcm))
+    assert ("B", "R+R/(y)", "yz", 4, 2, False) in seen
+    assert len(seen) >= 30
+    assert sum(not mcm for *_, mcm in seen) >= 8
 
 
 def test_length_identity_for_modules_with_rank(corpus):
