@@ -29,19 +29,23 @@ in flight stay exact below 2^F, one shift past the ceiling, so a check on
 the picked term is enough.
 
 Everything here is deterministic: pair selection is the normal strategy
-(smallest lcm in the monomial order, ties by generator index), reducers are
-chosen by lowest index, and reduced bases are sorted by leading term. The
-reduced Groebner basis of a submodule is unique, so permuting the input
-generators cannot change the output.
+(smallest lcm in the monomial order, ties by generator index), or, when the
+caller gives degree shifts, the smallest degree first and then the normal
+strategy. Reducers are chosen by lowest index, and reduced bases are
+sorted by leading term. The reduced Groebner basis of a submodule is
+unique, so permuting the input generators cannot change the output.
 
 Kernels of module maps come from the same Buchberger call by eliminating
 module components (``syzygies_flat``), with no record kept of how each
-basis element arose from the generators.
+basis element arose from the generators. Such a run goes degree by degree
+and can stop once the pairs that meet the map's target are done, when the
+caller needs only generators of the kernel.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf as INF
 from operator import le, mul
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -277,8 +281,9 @@ def _is_rank1(vecs: Sequence[PackedVec]) -> bool:
 
 def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
                     budget: Budget, seed: Optional[GIndex] = None,
-                    cap: Optional[Tuple[Sequence[int], int]] = None
-                    ) -> GBData:
+                    cap: Optional[Tuple[Sequence[int],
+                                        Optional[float]]] = None,
+                    elim: int = 0) -> GBData:
     """Reduced Groebner basis of the submodule generated by ``gens`` and
     ``seed``.
 
@@ -300,30 +305,47 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
     vector and any other element form as usual. The output equals that of
     ``gens + seed`` unseeded, since the reduced basis is unique.
 
-    ``cap = (shifts, D)`` stops a homogeneous run at degree D: position pos
-    has degree shift ``shifts[pos]``, which must make every generator and
-    seed vector homogeneous, and a pair whose degree shifts[pos] +
-    wdeg(lcm) exceeds D is dropped before it is queued or counted. An
-    element of degree at most D never needs a pair, reducer or chain
-    criterion of higher degree, so the result's elements of degree at most
-    D are exactly those of the full reduced basis, in the same order
-    (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.5). Any
-    element above D that it holds is part of no basis.
+    ``cap = (shifts, D)`` runs a homogeneous computation degree by degree:
+    position pos has degree shift ``shifts[pos]``, which must make every
+    generator and seed vector homogeneous, and pairs are taken by degree
+    shifts[pos] + wdeg(lcm), then by lcm. The run stops at the first pair
+    above degree D. An element of degree at most D never needs a pair,
+    reducer or chain criterion of higher degree, so the result's elements
+    of degree at most D are exactly those of the full reduced basis, in the
+    same order (Kreuzer-Robbiano, Computational Commutative Algebra 2,
+    4.5); D = inf gives the full basis. D = None takes for D the degree of
+    the last pair at a position below ``elim``, and stops only once no such
+    pair is left.
+
+    Only the elements whose lead sits at a position ``elim`` or above are
+    minimalized, tail-reduced and returned; under position-over-term they
+    have no term below ``elim``.
     """
-    p, pb, guard = ctx.p, ctx.pb, ctx.guard
+    p, pb, guard, mask = ctx.p, ctx.pb, ctx.guard, ctx.mask
     weights = ctx.weights
-    # the highest lcm degree processed at each position
-    lim = None if cap is None else [cap[1] - s for s in cap[0]]
+    # sh: degree shifts in key units; dmax: the degree kept; the live pairs
+    # below gate keep a D = None run going; lim: a fixed D's highest lcm
+    # degree at each position
+    sh, dmax, gate, lim = None, INF, 0, None
+    if cap is not None:
+        sh, dmax = [s << ctx.shift for s in cap[0]], cap[1]
+        if dmax is None:
+            dmax, gate = -INF, elim
+        elif dmax < INF:
+            lim = [dmax - s for s in cap[0]]
     # seed vectors enter the index first
     idx = GIndex(ctx) if seed is None else seed.copy()
     monos = idx._monos
     heap: list = []
     alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
+    live = 0    # live pairs at positions below gate
     rank1 = _is_rank1(gens) and _is_rank1(idx.elems)
     spairs = 0
 
     def gm_update(t: int) -> None:
+        nonlocal live
         pt, mt = -(idx.leads[t] >> pb), monos[t]
+        base = 0 if sh is None else sh[pt]
         by_lcm: Dict[Mono, List[int]] = {}
         for i in idx.by_pos[pt][:-1]:
             by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
@@ -333,6 +355,7 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
                       if sum(map(mul, weights, l)) <= lim[pt]}
         # chain filter: drop old pairs strictly covered through the new lead
         pairs = alive_pairs.setdefault(pt, {})
+        before = len(pairs)
         for (i, j), l in list(pairs.items()):
             if mono_divides(mt, l) and \
                mono_lcm(monos[i], mt) != l and \
@@ -348,7 +371,9 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
                 continue
             i = members[0]
             pairs[(i, t)] = l
-            heapq.heappush(heap, (ctx.mono_key(l), i, t))
+            heapq.heappush(heap, (ctx.mono_key(l) + base, i, t))
+        if pt < gate:
+            live += len(pairs) - before
 
     def add_elem(vec: PackedVec) -> None:
         lead = max(vec)
@@ -370,6 +395,14 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
         pos = -(idx.leads[i] >> pb)
         if alive_pairs[pos].pop((i, j), None) is None:
             continue
+        if sh is not None:
+            deg = key + mask >> ctx.shift
+            if pos < gate:
+                live -= 1
+                dmax = deg    # pairs come in ascending degree
+            elif deg > dmax and not live:
+                break
+            key -= sh[pos]
         spairs += 1
         budget.check_spairs(spairs)
         lcm = key - (pos << pb)
@@ -383,14 +416,17 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
     # minimalize: drop elements whose lead is covered by another survivor
     leads, exps = idx.leads, idx.exps
     alive = []
-    for i, li in enumerate(leads):
-        ri = exps[i] | guard
-        for j in idx.by_pos[-(li >> pb)]:
-            if j != i and ri - exps[j] & guard == guard and \
-               (leads[j] != li or j < i):
-                break
-        else:
-            alive.append(i)
+    for pos, ids in idx.by_pos.items():
+        if pos < elim:
+            continue
+        for i in ids:
+            ri, li = exps[i] | guard, leads[i]
+            for j in ids:
+                if j != i and ri - exps[j] & guard == guard and \
+                   (leads[j] != li or j < i):
+                    break
+            else:
+                alive.append(i)
     alive.sort(key=leads.__getitem__)
 
     final = GIndex(ctx)
@@ -417,20 +453,22 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
 def syzygies_flat(gens: Sequence[PackedVec], rank: int, nlead: int,
                   ctx: EngineContext, budget: Budget,
                   seed: Optional[GIndex] = None,
-                  cap: Optional[Tuple[Sequence[int], int]] = None) -> GIndex:
+                  cap: Optional[Tuple[Sequence[int], Optional[float]]] = None
+                  ) -> GIndex:
     """Vectors a in S^nlead with sum a_j gens[j] in the span of the rest.
 
     ``gens`` lie in S^rank; the first ``nlead`` of them form the lead block,
     and "the rest" is the other generators together with ``seed``, a
     reduced Groebner basis inside S^rank passed on to ``buchberger_flat``
     (no S-pair forms inside it). Each lead generator g_j is extended to
-    g_j + e_{rank+j} and one reduced Groebner basis is computed. Under
+    g_j + e_{rank+j} and one Groebner basis is computed. Under
     position-over-term the basis elements whose lead sits at a position >=
     ``rank`` have no term below ``rank`` and form the reduced Groebner basis
     of the kernel (elimination of module components; Greuel-Pfister, A
-    Singular Introduction to Commutative Algebra, ch. 2). They are returned
-    shifted down by ``rank``, positions indexing the lead block, as a
-    packed index in basis order.
+    Singular Introduction to Commutative Algebra, ch. 2); only they are
+    finished (``elim = rank``). They are returned shifted down by
+    ``rank``, positions indexing the lead block, as a packed index in basis
+    order.
 
     ``gens`` must be graded (some degree shift per position makes each
     generator homogeneous), so that the extended generators and the whole
@@ -440,16 +478,17 @@ def syzygies_flat(gens: Sequence[PackedVec], rank: int, nlead: int,
 
     ``cap = (shifts, D)`` is passed on to ``buchberger_flat``: ``shifts``
     covers the rank positions and then the lead block, where position
-    rank + j takes the degree of g_j. The result is then the part of degree
-    at most D of the kernel basis, which need not generate the kernel.
+    rank + j takes the degree of g_j (any degree for g_j = 0). The result is
+    the part of degree at most D of the kernel basis. With D = None it
+    generates the kernel: every pair after the stop lies at kernel
+    positions, so its S-vector and reducers are kernel vectors found.
     """
     ext = [{**g, -((rank + j) << ctx.pb): 1}
            for j, g in enumerate(gens[:nlead])]
     G = buchberger_flat(ext + list(gens[nlead:]), ctx, budget, seed,
-                        cap).index
+                        cap, rank).index
     down = rank << ctx.pb
     kernel = GIndex(ctx)
     for vec, lead in zip(G.elems, G.leads):
-        if -(lead >> ctx.pb) >= rank:
-            kernel.add({t + down: c for t, c in vec.items()}, lead + down)
+        kernel.add({t + down: c for t, c in vec.items()}, lead + down)
     return kernel

@@ -25,15 +25,17 @@ elements of ``koszul_complex``) and unpacked only where exponents are read
 must be graded (``_require_graded``): the entry points and every kernel
 computation reject those that admit no degree shifts.
 
-Minimal free resolutions are produced step by step: the kernel basis of a
-differential may be a redundant generating set of its image, which
+Minimal free resolutions are produced step by step: each kernel is run
+degree by degree and stopped once its pairs at the target's positions are
+done. What it has then generates the kernel but may be redundant, which
 surfaces as unit entries in the kernel of the next differential; those are
 cancelled by a change of basis that deletes one source generator of the
 previous step (exactness is preserved because the cancelled pair splits off
-a trivial exact summand). The last recorded differential is pruned the same
-way, so its rank is a Betti number too; its kernel is computed only up to
-the top degree of its generators, as far as a unit entry can lie. Each
-d_i d_(i+1) is checked there, once, not again on complexes built from it.
+a trivial exact summand). The last recorded
+differential is pruned the same way, so its rank is a Betti number too;
+its kernel is computed only up to the top degree of its generators, as far
+as a unit entry can lie. Each d_i d_(i+1) is checked there, once, not
+again on complexes built from it.
 Homology reads a module N only through relation bases (N^k's is shifted
 copies of N's), so N's columns are checked once, with its basis. A direct
 sum is built the same way, from its summands' bases.
@@ -324,45 +326,54 @@ def module_groebner(gens, ambient_rank: int, ring: Optional[RingModel] = None,
 
 def _kernel_columns(ring: RingModel, lead_cols: Matrix, rest_cols: Matrix,
                     target: GroebnerBasis, budget: Budget,
-                    units_only: bool = False
-                    ) -> Tuple[Matrix, GroebnerBasis]:
+                    part: str = "basis") -> Tuple[Matrix, GroebnerBasis]:
     """Vectors v with (lead_cols)v in the R-span of rest_cols and of
     ``target``, the relation basis (padding included) of a module in R^rank.
 
     The kernel K over S of [lead | rest | target] eliminated onto the lead
-    block (``syzygies_flat``). ``target`` is a reduced Groebner basis, so it
-    is the seed of that call and no S-pair forms inside it.
-
-    Returns the reduced Groebner basis of K normal-formed, with the vectors
-    that vanish in R dropped (it generates the kernel read in R but need
-    not be minimal), and that basis itself: K contains I S^nlead, so it is
-    the relation basis of R^nlead modulo the returned columns.
+    block (``syzygies_flat``), degree by degree; lead column j has the
+    degree of its terms, 0 if it is zero. ``target`` is a reduced Groebner
+    basis, so it is the seed of that call and no S-pair forms inside it.
     [lead | rest] must be graded; ``target`` was checked when computed.
 
-    With ``units_only`` the call only serves to find unit entries. A
-    homogeneous kernel vector with a unit at lead position j has the degree
-    of lead column j, so the Buchberger run stops at D, the top degree of
-    the (nonzero) lead columns. The result is then the part of degree at
-    most D of the kernel basis: it holds every basis vector with a unit
-    entry, but need not generate the kernel, and neither does the returned
-    basis.
+    Returns the kernel vectors read in R, those that vanish in R dropped,
+    and the kernel basis itself. K contains I S^nlead, so a reduced basis
+    vector is in normal form unless an ideal lead divides its lead; only
+    those are normal-formed. ``part`` is how much of K's basis is made:
+
+    - ``"basis"``: all. The vectors generate the kernel read in R, not
+      always minimally, and the basis is the relation basis of R^nlead
+      modulo them.
+    - ``"generators"``: degree at most D, the degree of the last pair at a
+      position below rank. The vectors generate the kernel; the basis is
+      no Groebner basis.
+    - ``"units"``: degree at most D, the top degree of the lead columns,
+      for a caller that reads only unit entries: a homogeneous kernel
+      vector with a unit at position j has the degree of lead column j.
+      Neither the vectors nor the basis need generate the kernel.
     """
+    ctx = ring.ctx
+    pb, top, mask, shift = ctx.pb, ctx.top, ctx.mask, ctx.shift
     rank, cols = target.ambient_rank, list(lead_cols) + list(rest_cols)
     shifts = _require_graded(ring, cols, rank)
-    cap = None
-    if units_only:
-        ctx = ring.ctx
-        heads = [next(iter(col)) for col in lead_cols]
-        degs = [shifts[-(t >> ctx.pb)] + ((t & ctx.top) + ctx.mask
-                                          >> ctx.shift) for t in heads]
-        cap = shifts + degs, max(degs)
-    kernel = _engine.syzygies_flat(cols, rank, len(lead_cols), ring.ctx,
-                                   budget, target.index, cap)
+    degs = []
+    for col in lead_cols:
+        t = next(iter(col), None)
+        degs.append(0 if t is None else
+                    shifts[-(t >> pb)] + ((t & top) + mask >> shift))
+    upto = {"basis": INFINITE, "generators": None,
+            "units": max(degs, default=0)}[part]
+    kernel = _engine.syzygies_flat(cols, rank, len(lead_cols), ctx, budget,
+                                   target.index, (shifts + degs, upto))
+    ideal = ring.ideal_groebner(budget).index.exps if ring.ideal_gens else ()
+    guard = ctx.guard
     out: Matrix = []
-    for z in kernel.elems:
-        col = _nf(ring, z, budget)
-        if col:
-            out.append(col)
+    for z, lead in zip(kernel.elems, kernel.leads):
+        r = -lead & mask | guard
+        if any(r - e & guard == guard for e in ideal):
+            z = _nf(ring, z, budget)
+        if z:
+            out.append(z)
     return out, GroebnerBasis(ring, len(lead_cols), kernel)
 
 
@@ -648,16 +659,17 @@ def minimal_free_resolution(M: PresentedModule, length: int,
                             budget: Budget = DEFAULT_BUDGET) -> FreeComplex:
     """Minimal free resolution of M out to homological degree ``length``.
 
-    Obtained by iterated kernels with unit cancellation: the kernel of
-    each generator set is computed, and its unit entries cancel redundant
-    columns of that set, which then becomes the differential. So every
+    Obtained by iterated kernels with unit cancellation: generators of
+    the kernel of each generator set are computed (``_kernel_columns`` with
+    ``part="generators"``), and their unit entries cancel redundant columns
+    of that set, which then becomes the differential. So every
     differential has all entries in the maximal ideal and the recorded
     ranks are the Betti numbers. The last step needs only the units of its
     kernel, so that kernel is computed only up to the top degree of the
-    last generators (``_kernel_columns`` with ``units_only``) and is not
-    kept. The cache holds the resolution and the generators of the first
-    step not computed in full, so a longer request redoes a truncated last
-    step in full and goes on as a fresh resolution would. Each product
+    last generators (``part="units"``) and is not kept. The cache holds the
+    resolution and the generators of the first step not computed in full,
+    so a longer request redoes a truncated last step up to its generators
+    and goes on as a fresh resolution would. Each product
     d_i d_(i+1) is checked to vanish once: an extension checks only those
     with d_(i+1) past the cached length. If a kernel is
     zero the resolution stops early (finite projective dimension); callers
@@ -680,7 +692,7 @@ def minimal_free_resolution(M: PresentedModule, length: int,
             free = GroebnerBasis(M.ring, ranks[-1],
                                  _ideal_padding(M.ring, ranks[-1], budget))
             syz, _ = _kernel_columns(M.ring, cur, [], free, budget,
-                                     units_only=last)
+                                     part="units" if last else "generators")
             # unit entries in the kernel mean cur's columns were a redundant
             # generating set; cancelling them drops matching columns of cur
             syz, kept = _minimalize_columns(M.ring, syz, len(cur), budget)

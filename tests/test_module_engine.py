@@ -13,7 +13,7 @@ from frobcheck import (ArgumentError, INFINITE, InternalConsistencyError,
                        koszul_complex, min_generators,
                        minimal_free_resolution, minimalize, module_groebner,
                        module_length, residue_field, ring_as_module, tor)
-from frobcheck import module_engine
+from frobcheck import _engine, module_engine
 from frobcheck._engine import reduce_full, vec_axpy, vec_scale
 from frobcheck.algebra_kernel import GroebnerBasis
 from frobcheck.budget import Budget
@@ -226,24 +226,26 @@ def test_resolution_cache_extension_invisible(node):
 
 def test_resolution_resumes_from_cached_kernel(monkeypatch):
     # a longer request continues a cached resolution: the truncated last
-    # kernel of the short one is redone in full, then only the new kernels
-    # are computed, and the differentials equal a fresh resolution's
+    # kernel of the short one is redone up to its generators, then only the
+    # new kernels are computed, and the differentials equal a fresh
+    # resolution's
     ring = load_model("c.json").ring
     kernels = []
     orig = module_engine._kernel_columns
 
     def counting(*args, **kwargs):
-        kernels.append(kwargs.get("units_only", False))
+        kernels.append(kwargs.get("part", "basis"))
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(module_engine, "_kernel_columns", counting)
     staged = residue_field(ring)
     minimal_free_resolution(staged, 3)
-    assert kernels == [False, False, True]
+    steps = ["generators", "generators", "units"]
+    assert kernels == steps
     minimal_free_resolution(staged, 2)
     assert len(kernels) == 3
     long_staged = minimal_free_resolution(staged, 5)
-    assert kernels == [False, False, True] + [False, False, True]
+    assert kernels == steps + steps
     long_fresh = minimal_free_resolution(residue_field(ring), 5)
     assert long_staged.ranks == long_fresh.ranks
     for i in range(1, 6):
@@ -328,12 +330,14 @@ def test_truncated_last_kernel_matches_longer_resolution(corpus):
             res = minimal_free_resolution(M, 6)
             for i, d in enumerate(res.differentials, start=1):
                 _assert_shifts_grade(M.ring, list(d), res.rank(i - 1))
-    # over B, k's second kernel is generated by 5 columns, and a unit entry
-    # in their truncated kernel cancels one of them
+    # over B, k's second kernel is generated by 4 columns: its full basis
+    # has a fifth, redundant vector above the top degree of the pairs that
+    # meet the image, which the generators-only run no longer makes (a
+    # unit in the truncated last kernel used to cancel it)
     k = residue_field(corpus["B"].ring)
     res = minimal_free_resolution(k, 2)
     _, done, cur = k._cache["resolution"]
-    assert (done, len(cur)) == (1, 5)
+    assert (done, len(cur)) == (1, 4)
     assert res.ranks == (1, 3, 4)
 
 
@@ -347,6 +351,149 @@ def test_truncated_last_kernel_on_graded_modules(weights, data):
     M = PresentedModule(ring, 5, [packed(ring.ctx, g) for g in gens])
     _assert_shifts_grade(ring, M.columns, 5)
     _assert_last_step_exact(M, 4)
+
+
+def _kernel_degree(ctx, degs, vec):
+    """Degree of a homogeneous kernel vector: its lead's position takes the
+    degree of that lead column."""
+    pos, m, _ = next(ctx.unpack({max(vec): 1}))
+    return degs[pos] + ctx.wdeg(m)
+
+
+def _check_generator_kernel(ring, cols, rank, budget):
+    """The generators-only kernel of ``cols`` (into R^rank) is the part of
+    the full kernel basis up to its own top degree, in order, and generates
+    what the full basis spans."""
+    ctx = ring.ctx
+    free = GroebnerBasis(ring, rank,
+                         module_engine._ideal_padding(ring, rank, budget))
+    full_cols, full = module_engine._kernel_columns(ring, cols, [], free,
+                                                    budget)
+    gens_cols, gens = module_engine._kernel_columns(ring, cols, [], free,
+                                                    budget, part="generators")
+    # only vectors whose lead an ideal lead divides are normal-formed
+    for col in full_cols + gens_cols:
+        assert col and module_engine._nf(ring, col, budget) == col
+    shifts = module_engine._require_graded(ring, cols, rank)
+    degs = []
+    for col in cols:
+        head = next(ctx.unpack(col), None)
+        degs.append(0 if head is None else shifts[head[0]] + ctx.wdeg(head[1]))
+    top = max((_kernel_degree(ctx, degs, z) for z in gens.index.elems),
+              default=None)
+    low = [k for k, z in enumerate(full.index.elems)
+           if top is not None and _kernel_degree(ctx, degs, z) <= top]
+    assert gens.index.elems == [full.index.elems[k] for k in low]
+    assert gens.index.leads == [full.index.leads[k] for k in low]
+    closure = _engine.buchberger_flat(
+        gens.index.elems, ctx, budget,
+        module_engine._ideal_padding(ring, len(cols), budget)).index
+    for z in full.index.elems:
+        assert not reduce_full(dict(z), closure, ctx)
+
+
+def _full_kernel_resolution(M, length, budget):
+    """``minimal_free_resolution`` with every kernel's full reduced basis,
+    the last one included."""
+    ring, Mmin = M.ring, minimalize(M, budget)
+    ranks, diffs, cur = [Mmin.ambient_rank], [], list(Mmin.columns)
+    while len(diffs) < length and cur:
+        free = GroebnerBasis(ring, ranks[-1], module_engine._ideal_padding(
+            ring, ranks[-1], budget))
+        syz, _ = module_engine._kernel_columns(ring, cur, [], free, budget)
+        syz, kept = module_engine._minimalize_columns(ring, syz, len(cur),
+                                                      budget)
+        diffs.append([cur[j] for j in kept])
+        ranks.append(len(kept))
+        cur = syz
+    return tuple(ranks), diffs
+
+
+def _check_against_full_kernels(M, length, budget):
+    res = minimal_free_resolution(PresentedModule(
+        M.ring, M.ambient_rank, M.columns), length, budget)
+    ranks, diffs = _full_kernel_resolution(M, length, budget)
+    assert res.ranks == ranks
+    assert [list(d) for d in res.differentials] == diffs
+
+
+def _kernel_test_rings():
+    rings = []
+    for names, weights, ideal in ((["x", "y", "z"], (1, 1, 1), "x^2+y*z"),
+                                  (["x", "y"], (2, 3), "y^2-x^3")):
+        plain = RingModel(ENGINE_P, names, weights=weights)
+        rings += [plain, RingModel(ENGINE_P, names, weights=weights,
+                                   ideal_gens=[P(plain, ideal)])]
+    return rings
+
+
+@pytest.mark.parametrize("ring", _kernel_test_rings(),
+                         ids=["111", "111-ideal", "23", "23-ideal"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generator_kernels_on_graded_modules(ring, data):
+    # zero columns included: graded_module_gens inserts one now and then
+    gens = data.draw(graded_module_gens(ring.weights))
+    cols = [packed(ring.ctx, g) for g in gens]
+    budget = Budget()
+    _check_generator_kernel(ring, cols, 5, budget)
+    _check_against_full_kernels(PresentedModule(ring, 5, cols), 3, budget)
+
+
+def test_generator_kernels_on_corpus(corpus, budget):
+    for mf in corpus.values():
+        for M in [*mf.modules.values(), residue_field(mf.ring)]:
+            _check_generator_kernel(M.ring, list(M.columns),
+                                    M.ambient_rank, budget)
+            _check_against_full_kernels(M, 4, budget)
+
+
+def test_zero_lead_column_in_every_kernel_part(A):
+    # a zero lead column j puts e_j in the kernel at degree 0
+    x, y = P(A, "x"), P(A, "y")
+    cols = [column(A, [x]), {}, column(A, [y])]
+    free = GroebnerBasis(A, 1, module_engine._ideal_padding(A, 1, Budget()))
+    unit = packed(A.ctx, {(1, (0, 0)): 1})
+    koszul = column(A, [y, A.zero(), -x])
+    # "units" stops at degree 1, the top degree of the lead columns, so
+    # the Koszul vector y e_0 - x e_2 of degree 2 is left out
+    for part, more in (("basis", [koszul]), ("generators", [koszul]),
+                       ("units", [])):
+        out, _ = module_engine._kernel_columns(A, cols, [], free, Budget(),
+                                               part=part)
+        assert sorted(out, key=max) == sorted([unit] + more, key=max), part
+
+
+def test_generator_steps_still_cancel_redundant_columns(monkeypatch):
+    # M = R/(x, y, xz, z^3): step 1 cancels the relation xz. Its image
+    # pairs reach degree 4, so its generators-only kernel also keeps
+    # xz e_1 - y e_2, of degree 3, from the pair of the kernel leads y e_0
+    # and z e_0. Rewritten through e_2 = z e_0 it is z times another column,
+    # so step 2 cancels it.
+    ring = RingModel(ENGINE_P, ["x", "y", "z"])
+    steps = []
+    kernel_columns = module_engine._kernel_columns
+    minimalize_columns = module_engine._minimalize_columns
+
+    def kernel(*args, **kwargs):
+        steps.append([kwargs.get("part", "basis")])
+        return kernel_columns(*args, **kwargs)
+
+    def sweep(ring, cols, nrows, budget):
+        out, kept = minimalize_columns(ring, cols, nrows, budget)
+        if steps:       # not minimalize's own sweep
+            steps[-1].append((nrows, len(kept)))
+        return out, kept
+
+    monkeypatch.setattr(module_engine, "_kernel_columns", kernel)
+    monkeypatch.setattr(module_engine, "_minimalize_columns", sweep)
+    M = PresentedModule.from_rows(ring, [[P(ring, f) for f in
+                                          ("x", "y", "x*z", "z^3")]])
+    res = minimal_free_resolution(M, 4)
+    assert res.ranks == (1, 3, 3, 1)
+    assert steps[:2] == [["generators", (4, 3)], ["generators", (4, 3)]]
+    monkeypatch.undo()
+    _check_against_full_kernels(M, 4, Budget())
 
 
 def test_resolution_betti_numbers_extend(capsys):
