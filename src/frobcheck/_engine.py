@@ -19,6 +19,8 @@ position dominates), ties broken by weighted graded reverse lexicographic
 order, the key (wdeg, -e_v, ..., -e_1). The exponent fields of T are
 E(T) = (-T) & (2^S - 1), and a lead L at the same position divides T iff
 ((E(T) | GUARD) - E(L)) & GUARD == GUARD, GUARD holding every guard bit.
+Pair bookkeeping reads the same words: lcms are fieldwise maxima
+(``exp_lcm``), and a, b are coprime iff their lcm is E(a) + E(b).
 Rank-1 vectors (all terms at position 0) are plain polynomials.
 
 The packing needs every weighted degree below DEGREE_LIMIT = 2^(F-1). So do
@@ -71,13 +73,12 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(map(le, a, b))
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    # exponents are nonnegative, so x * y == 0 iff one of them is 0
-    return not any(map(mul, a, b))
+def exp_lcm(a: int, b: int, guard: int) -> int:
+    """E(lcm) of two exponent words, a fieldwise max (Lamport, CACM 18(8),
+    1975): the guard bits left in (a | guard) - b mark the fields a >= b."""
+    d = (a | guard) - b & guard
+    m = d - (d >> (F - 1))
+    return a & m | b & ~m
 
 
 class EngineContext:
@@ -183,10 +184,9 @@ class GIndex:
     position-over-term only those leads can divide a term at ``pos`` or
     form an S-pair with a lead there, so divisor lookups, pair updates and
     minimalization all scan one position's list, never the whole basis.
-    The lead monomials are decoded on first request and cached.
     """
 
-    __slots__ = ("ctx", "elems", "leads", "exps", "by_pos", "_monos")
+    __slots__ = ("ctx", "elems", "leads", "exps", "by_pos")
 
     def __init__(self, ctx: EngineContext):
         self.ctx = ctx
@@ -194,7 +194,6 @@ class GIndex:
         self.leads: List[int] = []
         self.exps: List[int] = []
         self.by_pos: Dict[int, List[int]] = {}
-        self._monos: List[Mono] = []
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -210,18 +209,14 @@ class GIndex:
     def copy(self) -> "GIndex":
         out = GIndex(self.ctx)
         out.elems, out.leads = list(self.elems), list(self.leads)
-        out.exps, out._monos = list(self.exps), list(self.lead_monos())
+        out.exps = list(self.exps)
         out.by_pos = {pos: list(ids) for pos, ids in self.by_pos.items()}
         return out
 
     def lead_monos(self) -> List[Mono]:
         """The lead monomials, decoded."""
-        monos = self._monos
-        if len(monos) < len(self.leads):
-            top, mono_of = self.ctx.top, self.ctx.mono_of
-            monos.extend(mono_of(lead & top)
-                         for lead in self.leads[len(monos):])
-        return monos
+        top, mono_of = self.ctx.top, self.ctx.mono_of
+        return [mono_of(lead & top) for lead in self.leads]
 
 
 
@@ -284,94 +279,104 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
                     cap: Optional[Tuple[Sequence[int],
                                         Optional[float]]] = None,
                     elim: int = 0) -> GBData:
-    """Reduced Groebner basis of the submodule generated by ``gens`` and
-    ``seed``.
+    """Reduced Groebner basis of the submodule generated by ``gens`` (packed
+    vectors, read and never modified) and ``seed``.
 
-    ``gens`` are packed vectors, read and never modified. Pair management
-    follows Gebauer-Moeller: the chain filter on old pairs, the M and F
-    rules on new pairs, and the product criterion only in the rank-1
-    (ideal) case, where it is valid. S-pairs form only between leads at one
-    position, so new pairs are drawn from ``idx.by_pos`` and live pairs are
-    kept per position: an insert touches only the leads and pairs at its
-    own position, and so does the final minimalization. The pair
-    bookkeeping works on the decoded lead monomials; each lcm is packed,
-    and so checked against the degree ceiling, as its pair is made.
+    Pairs follow Gebauer-Moeller: the chain filter on old pairs, the M and
+    F rules on new ones, and the product criterion only in the rank-1
+    (ideal) case, where it is valid. Pairs form only between leads at one
+    position, so an insert touches only its position's leads
+    (``idx.by_pos``) and live pairs, and so does the final minimalization.
+    The bookkeeping reads the exponent words E(lead); each distinct lcm's
+    key is computed once per run and checked against the degree ceiling as
+    its pair is made.
 
-    ``seed`` is an index already known to be a Groebner basis (the qring
-    strategy of Greuel-Pfister, ch. 2): its vectors must be monic and form
-    a reduced Groebner basis of their span. They are trusted, not checked.
-    They enter the index before the generators, no S-pair is ever formed
-    between two of them (each reduces to zero), and pairs between a seed
-    vector and any other element form as usual. The output equals that of
-    ``gens + seed`` unseeded, since the reduced basis is unique.
+    ``seed`` is an index known to be a monic reduced Groebner basis of its
+    span (the qring strategy of Greuel-Pfister, ch. 2), trusted, not
+    checked. It enters the index first, and no S-pair forms between two of
+    its vectors; the output equals that of ``gens + seed`` unseeded, since
+    the reduced basis is unique.
 
     ``cap = (shifts, D)`` runs a homogeneous computation degree by degree:
-    position pos has degree shift ``shifts[pos]``, which must make every
+    ``shifts[pos]``, the degree shift of position pos, must make every
     generator and seed vector homogeneous, and pairs are taken by degree
     shifts[pos] + wdeg(lcm), then by lcm. The run stops at the first pair
-    above degree D. An element of degree at most D never needs a pair,
-    reducer or chain criterion of higher degree, so the result's elements
-    of degree at most D are exactly those of the full reduced basis, in the
-    same order (Kreuzer-Robbiano, Computational Commutative Algebra 2,
-    4.5); D = inf gives the full basis. D = None takes for D the degree of
-    the last pair at a position below ``elim``, and stops only once no such
-    pair is left.
+    above degree D. An element of degree at most D needs no pair, reducer
+    or chain criterion of higher degree, so the result's elements of degree
+    at most D are those of the full reduced basis, in order
+    (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.5); D = inf
+    gives the full basis. D = None takes for D the degree of the last pair
+    at a position below ``elim`` and stops only once no such pair is left.
 
-    Only the elements whose lead sits at a position ``elim`` or above are
+    Only the elements with a lead at a position ``elim`` or above are
     minimalized, tail-reduced and returned; under position-over-term they
     have no term below ``elim``.
     """
     p, pb, guard, mask = ctx.p, ctx.pb, ctx.guard, ctx.mask
-    weights = ctx.weights
+    shift, ceiling, fmask = ctx.shift, ctx.ceiling, (1 << F) - 1
+    fields = list(zip(ctx.weights, ctx._fields))
     # sh: degree shifts in key units; dmax: the degree kept; the live pairs
-    # below gate keep a D = None run going; lim: a fixed D's highest lcm
-    # degree at each position
-    sh, dmax, gate, lim = None, INF, 0, None
+    # below gate keep a D = None run going; limk: a fixed D's lcm key caps
+    sh, dmax, gate, limk = None, INF, 0, None
     if cap is not None:
-        sh, dmax = [s << ctx.shift for s in cap[0]], cap[1]
+        sh, dmax = [s << shift for s in cap[0]], cap[1]
         if dmax is None:
             dmax, gate = -INF, elim
         elif dmax < INF:
-            lim = [dmax - s for s in cap[0]]
+            limk = [dmax - s << shift for s in cap[0]]
     # seed vectors enter the index first
     idx = GIndex(ctx) if seed is None else seed.copy()
-    monos = idx._monos
+    exps = idx.exps
+    key_of = {}     # k(l) per lcm word l, once per run
     heap: list = []
-    alive_pairs: Dict[int, Dict[Tuple[int, int], Mono]] = {}
+    alive_pairs: Dict[int, Dict[Tuple[int, int], int]] = {}
     live = 0    # live pairs at positions below gate
     rank1 = _is_rank1(gens) and _is_rank1(idx.elems)
     spairs = 0
 
     def gm_update(t: int) -> None:
         nonlocal live
-        pt, mt = -(idx.leads[t] >> pb), monos[t]
+        pt, et = -(idx.leads[t] >> pb), exps[t]
         base = 0 if sh is None else sh[pt]
-        by_lcm: Dict[Mono, List[int]] = {}
+        lcm_of, by_lcm = {}, {}
         for i in idx.by_pos[pt][:-1]:
-            by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
-        if lim is not None:
-            # a pair above the cap can neither feed nor cancel one below it
-            by_lcm = {l: ids for l, ids in by_lcm.items()
-                      if sum(map(mul, weights, l)) <= lim[pt]}
+            lcm_of[i] = l = exp_lcm(exps[i], et, guard)
+            by_lcm.setdefault(l, []).append(i)
         # chain filter: drop old pairs strictly covered through the new lead
         pairs = alive_pairs.setdefault(pt, {})
         before = len(pairs)
         for (i, j), l in list(pairs.items()):
-            if mono_divides(mt, l) and \
-               mono_lcm(monos[i], mt) != l and \
-               mono_lcm(monos[j], mt) != l:
+            if (l | guard) - et & guard == guard and \
+               lcm_of[i] != l and lcm_of[j] != l:
                 del pairs[(i, j)]
-        for l in sorted(by_lcm):
-            # M rule: keep only lcm-minimal candidates
-            if any(l2 != l and mono_divides(l2, l) for l2 in by_lcm):
+        # a pair above the cap can neither feed nor cancel one below it
+        cut = INF if limk is None else limk[pt]
+        cands = []
+        for l in by_lcm:
+            k = key_of.get(l)
+            if k is None:
+                k = key_of[l] = (sum(w * (l >> s & fmask) for w, s in fields)
+                                 << shift) - l
+            if k <= cut:
+                cands.append((k, l))
+        cands.sort()
+        # M rule: keep only lcm-minimal candidates; by ascending degree only
+        # an earlier minimal one can divide a candidate
+        minimal = []
+        for k, l in cands:
+            r = l | guard
+            if any(r - l2 & guard == guard for l2 in minimal):
                 continue
+            minimal.append(l)
             # F rule: one pair per lcm; product criterion kills a whole class
             members = by_lcm[l]
-            if rank1 and any(mono_coprime(monos[i], mt) for i in members):
+            if rank1 and any(l == exps[i] + et for i in members):
                 continue
+            if k > ceiling:
+                raise past_ceiling(k + mask >> shift)
             i = members[0]
             pairs[(i, t)] = l
-            heapq.heappush(heap, (ctx.mono_key(l) + base, i, t))
+            heapq.heappush(heap, (k + base, i, t))
         if pt < gate:
             live += len(pairs) - before
 
@@ -381,7 +386,6 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
         if c != 1:
             vec = vec_scale(vec, ctx.inv(c), p)
         idx.add(vec, lead)
-        monos.append(ctx.mono_of(lead & ctx.top))
         budget.check_basis(len(idx.elems))
         gm_update(len(idx.elems) - 1)
 
@@ -432,7 +436,6 @@ def buchberger_flat(gens: Sequence[PackedVec], ctx: EngineContext,
     final = GIndex(ctx)
     for i in alive:
         final.add(idx.elems[i], leads[i])
-    final._monos = [monos[i] for i in alive]
 
     # tail reduction: leads are pairwise non-divisible so irreducibility of
     # tail terms depends on leads only; one pass yields the reduced basis

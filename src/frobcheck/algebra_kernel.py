@@ -77,10 +77,6 @@ class Polynomial:
         degs = {self.ring.ctx.wdeg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self) -> List[Tuple[Mono, int]]:
-        key = self.ring.ctx.mono_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
@@ -303,28 +299,25 @@ class RingModel:
 
     # -- rendering ---------------------------------------------------------
 
-    def render_mono(self, m: Mono) -> str:
-        parts = []
-        for name, e in zip(self.variables, m):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+    def render_terms(self, terms: Iterable[Tuple[int, int]]) -> str:
+        """Text of the terms (k(m), c), given in descending order; each
+        monomial's text is made once per ring."""
+        names = self._cache.setdefault("names", {})
+        chunks = []
+        for k, c in terms:
+            mono = names.get(k)
+            if mono is None:
+                mono = names[k] = "*".join(
+                    f"{x}^{e}" if e > 1 else x
+                    for x, e in zip(self.variables, self.ctx.mono_of(k)) if e)
+            chunks.append(mono if c == 1 and mono else
+                          f"{c}*{mono}" if mono else str(c))
+        return "+".join(chunks) or "0"
 
     def render_poly(self, f: Polynomial) -> str:
-        if not f.terms:
-            return "0"
-        chunks = []
-        for m, c in f.sorted_terms():
-            mono = self.render_mono(m)
-            if not mono:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(mono)
-            else:
-                chunks.append(f"{c}*{mono}")
-        return "+".join(chunks)
+        key = self.ctx.mono_key
+        return self.render_terms(sorted(
+            ((key(m), c) for m, c in f.terms.items()), reverse=True))
 
 
 class GroebnerBasis:
@@ -346,11 +339,11 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.index.elems)
 
-    def leads_by_position(self) -> List[List[Mono]]:
+    def leads_by_position(self) -> List[Tuple[Mono, ...]]:
         """Generators of the leading ideal at each ambient position."""
         idx = self.index
         monos = idx.lead_monos()
-        return [[monos[k] for k in idx.by_pos.get(j, ())]
+        return [tuple(monos[k] for k in idx.by_pos.get(j, ()))
                 for j in range(self.ambient_rank)]
 
     def polynomials(self) -> List[Polynomial]:

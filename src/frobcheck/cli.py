@@ -32,6 +32,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra_kernel import Polynomial, RingModel
@@ -308,13 +309,15 @@ def parse_model(data) -> ModelFile:
 
 def _rendered_rows(ring: RingModel, cols: Matrix, nrows: int
                    ) -> List[List[str]]:
-    """Rendered entries row by row, read from the sparse columns."""
-    grid: List[Dict[int, dict]] = [{} for _ in range(nrows)]
+    """Rendered entries row by row: a column's terms, descending, come row
+    by row (position-over-term), each row's in ``render_poly`` order."""
+    pb, top = ring.ctx.pb, ring.ctx.top
+    rows = [["0"] * len(cols) for _ in range(nrows)]
     for j, col in enumerate(cols):
-        for i, m, c in ring.ctx.unpack(col):
-            grid[i].setdefault(j, {})[m] = c
-    return [[ring.render_poly(Polynomial(ring, row[j])) if j in row else "0"
-             for j in range(len(cols))] for row in grid]
+        for i, run in groupby(sorted(col, reverse=True),
+                              lambda t: -(t >> pb)):
+            rows[i][j] = ring.render_terms([(t & top, col[t]) for t in run])
+    return rows
 
 
 def render_model_dict(ring: RingModel, modules: Dict[str, PresentedModule],

@@ -21,21 +21,15 @@ ring, where nothing is reduced, ``_nf`` checks each term itself.
 Polynomials are packed only at the entry points (``PresentedModule.
 from_rows``, Polynomial vectors given to ``module_groebner``, the ring
 elements of ``koszul_complex``) and unpacked only where exponents are read
-(``rows()``, ``GroebnerBasis.vectors()``, the CLI's rendering). Matrices
-must be graded (``_require_graded``): the entry points and every kernel
-computation reject those that admit no degree shifts.
+(``rows()``, ``GroebnerBasis.vectors()``, each monomial the CLI renders).
+Matrices must be graded (``_require_graded``): the entry points and every
+kernel computation reject those that admit no degree shifts.
 
-Minimal free resolutions are produced step by step: each kernel is run
-degree by degree and stopped once its pairs at the target's positions are
-done. What it has then generates the kernel but may be redundant, which
-surfaces as unit entries in the kernel of the next differential; those are
-cancelled by a change of basis that deletes one source generator of the
-previous step (exactness is preserved because the cancelled pair splits off
-a trivial exact summand). The last recorded
-differential is pruned the same way, so its rank is a Betti number too;
-its kernel is computed only up to the top degree of its generators, as far
-as a unit entry can lie. Each d_i d_(i+1) is checked there, once, not
-again on complexes built from it.
+Minimal free resolutions take kernel generators step by step; redundant
+ones surface as unit entries of the next kernel and are cancelled by a
+change of basis, which splits off a trivial exact summand and so keeps
+exactness. Each d_i d_(i+1) is checked once, not again on complexes built
+from it (``minimal_free_resolution``).
 Homology reads a module N only through relation bases (N^k's is shifted
 copies of N's), so N's columns are checked once, with its basis. A direct
 sum is built the same way, from its summands' bases.
@@ -486,7 +480,8 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
     contain the leading ideal of I. The unit grading suffices: the count
     does not depend on the weights, nor on the positions' degree shifts.
     Likewise a homology module Z/(B + K) counts, per position, the
-    monomials of in(Z) outside in(B + K).
+    monomials of in(Z) outside in(B + K). Equal positions (copies in a
+    direct sum) are counted once.
     """
     if M.ambient_rank == 0:
         return 0
@@ -497,11 +492,14 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
             None, M.relations_groebner(budget))
         insides = cycles.leads_by_position() if cycles is not None \
             else [None] * bounds.ambient_rank
-        total = 0
+        total, counts = 0, {}
         for leads, inside in zip(bounds.leads_by_position(), insides):
             if leads == inside:     # both sorted by lead
                 continue
-            count = standard_monomials(leads, nvars, inside)
+            count = counts.get((leads, inside))
+            if count is None:
+                count = standard_monomials(leads, nvars, inside)
+                counts[leads, inside] = count
             if count is INFINITE:
                 total = INFINITE
                 break

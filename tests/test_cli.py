@@ -4,13 +4,15 @@ exit codes."""
 import json
 import os
 import re
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobcheck import DEFAULT_BUDGET, ModelError, RingModel
-from frobcheck.cli import (_ENV_FIELDS, budget_from_env, parse_model,
-                           parse_polynomial, run)
-from conftest import model_path
+from frobcheck import DEFAULT_BUDGET, ModelError, Polynomial, RingModel
+from frobcheck.cli import (_ENV_FIELDS, _rendered_rows, budget_from_env,
+                           parse_model, parse_polynomial, run)
+from conftest import model_path, packed
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -122,6 +124,52 @@ def test_round_trip_all_corpus_models(corpus):
             assert a.ambient_rank == b.ambient_rank
             assert a.columns == b.columns
         assert again.sops == mf.sops
+
+
+def _ref_render(ring, terms):
+    """A polynomial's text from its {exponents: coeff} terms, written out
+    here: terms by descending weighted grevlex, (wdeg, -e_v, ..., -e_1)."""
+    def key(m):
+        return sum(map(mul, ring.weights, m)), [-e for e in reversed(m)]
+    chunks = []
+    for m, c in sorted(terms.items(), key=lambda t: key(t[0]), reverse=True):
+        mono = "*".join(x if e == 1 else f"{x}^{e}"
+                        for x, e in zip(ring.variables, m) if e)
+        chunks.append(str(c) if not mono else mono if c == 1
+                      else f"{c}*{mono}")
+    return "+".join(chunks) or "0"
+
+
+def _ref_rendered_rows(ring, cols, nrows):
+    """The renderer on decoded terms: each cell's terms collected, then
+    rendered on their own."""
+    grid = [[{} for _ in cols] for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, m, c in ring.ctx.unpack(col):
+            grid[i][j][m] = c
+    return [[_ref_render(ring, cell) for cell in row] for row in grid]
+
+
+@pytest.mark.parametrize("p, weights", [(7, (1, 1, 1)), (2, (2, 3)),
+                                        (5, (3, 1, 2))])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rendered_rows_match_polynomial_rendering(p, weights, data):
+    # constants, coefficients 1 and p - 1, empty columns and empty rows
+    R = RingModel(p, ["x", "y", "z"][:len(weights)], weights)
+    nrows = data.draw(st.integers(0, 4))
+    mono = st.one_of(st.just((0,) * len(weights)),
+                     st.tuples(*[st.integers(0, 3)] * len(weights)))
+    coeff = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    entry = st.dictionaries(st.tuples(st.integers(0, nrows - 1), mono), coeff,
+                            max_size=6) if nrows else st.just({})
+    entries = data.draw(st.lists(entry, max_size=4))
+    cols = [packed(R.ctx, e) for e in entries]
+    assert _rendered_rows(R, cols, nrows) == _ref_rendered_rows(R, cols, nrows)
+    # render_poly shares the term rendering
+    for e in entries:
+        f = Polynomial(R, {m: c for (_, m), c in e.items()})
+        assert R.render_poly(f) == _ref_render(R, f.terms)
 
 
 # ---------------------------------------------------------------------------

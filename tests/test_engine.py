@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import packed
 from frobcheck.budget import Budget
 from frobcheck.errors import BudgetExceededError
-from frobcheck._engine import (DEGREE_LIMIT, EngineContext, GIndex,
-                               buchberger_flat, mono_coprime, mono_divides,
-                               mono_lcm, reduce_full, syzygies_flat,
-                               vec_axpy, vec_scale)
+from frobcheck._engine import (DEGREE_LIMIT, F, EngineContext, GIndex,
+                               buchberger_flat, exp_lcm, mono_divides,
+                               reduce_full, syzygies_flat, vec_axpy,
+                               vec_scale)
 
 P = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,6 +41,14 @@ def _lead(vec, weights):
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
 
 
 def _axpy(target, c, shift, src):
@@ -93,10 +101,13 @@ def _ref_buchberger(gens, ctx):
     """Reduced basis plus certificates: reps[k] is packed with the gens
     index as its position and combines the generators into basis element
     k. Vectors are packed as in the engine, whose reductions this mirrors
-    through ``on_reduce``, whose deltas are packed shifts."""
+    through ``on_reduce``, whose deltas are packed shifts. The pair
+    bookkeeping runs on decoded lead tuples; the number of S-pairs it
+    reduced comes third."""
     p, pb = ctx.p, ctx.pb
     idx = GIndex(ctx)
     reps, heap, alive_pairs = [], [], {}
+    spairs = 0
     rank1 = all(k[0] == 0 for g in gens for k in g)
 
     def pos_of(t):
@@ -107,18 +118,18 @@ def _ref_buchberger(gens, ctx):
         pt, mt = pos_of(idx.leads[t]), monos[t]
         by_lcm = {}
         for i in idx.by_pos[pt][:-1]:
-            by_lcm.setdefault(mono_lcm(monos[i], mt), []).append(i)
+            by_lcm.setdefault(_lcm(monos[i], mt), []).append(i)
         pairs = alive_pairs.setdefault(pt, {})
         for (i, j), l in list(pairs.items()):
             if mono_divides(mt, l) and \
-               mono_lcm(monos[i], mt) != l and \
-               mono_lcm(monos[j], mt) != l:
+               _lcm(monos[i], mt) != l and \
+               _lcm(monos[j], mt) != l:
                 del pairs[(i, j)]
         for l in sorted(by_lcm):
             if any(l2 != l and mono_divides(l2, l) for l2 in by_lcm):
                 continue
             members = by_lcm[l]
-            if rank1 and any(mono_coprime(monos[i], mt) for i in members):
+            if rank1 and any(_coprime(monos[i], mt) for i in members):
                 continue
             pairs[(members[0], t)] = l
             heapq.heappush(heap, (ctx.mono_key(l), members[0], t))
@@ -143,6 +154,7 @@ def _ref_buchberger(gens, ctx):
         pos = pos_of(idx.leads[i])
         if alive_pairs[pos].pop((i, j), None) is None:
             continue
+        spairs += 1
         lcm = key - (pos << pb)
         di, dj = lcm - idx.leads[i], lcm - idx.leads[j]
         u, rep = {}, {}
@@ -172,7 +184,7 @@ def _ref_buchberger(gens, ctx):
                          on_reduce=mirror_into(freps[k], freps))
         nf[lead] = 1
         final.elems[k] = nf
-    return final, freps
+    return final, freps, spairs
 
 
 def _ref_syzygies(gens, ctx):
@@ -180,7 +192,7 @@ def _ref_syzygies(gens, ctx):
     reduced basis pulled back through the certificates, plus the columns of
     I - A*B expressing each generator over the basis. Returned flat."""
     p, pb = ctx.p, ctx.pb
-    G, reps = _ref_buchberger(gens, ctx)
+    G, reps, _ = _ref_buchberger(gens, ctx)
     flat_reps = [_flat(ctx, r) for r in reps]
     monos = G.lead_monos()
 
@@ -196,7 +208,7 @@ def _ref_syzygies(gens, ctx):
         for l in G.by_pos[pk]:
             if l <= k:
                 continue
-            L = ctx.mono_key(mono_lcm(monos[k], monos[l])) - (pk << pb)
+            L = ctx.mono_key(_lcm(monos[k], monos[l])) - (pk << pb)
             dk, dl = L - lead, L - G.leads[l]
             u = {}
             vec_axpy(u, 1, dk, G.elems[k], p)
@@ -287,8 +299,9 @@ def test_module_groebner_basis_and_syzygies(weights, data):
 
     # the reference computes the same reduced basis, and its certificates
     # put each element inside the submodule
-    ref, reps = _ref_buchberger(gens, ctx)
+    ref, reps, spairs = _ref_buchberger(gens, ctx)
     assert ref.leads == gbd.index.leads and ref.elems == gbd.index.elems
+    assert spairs == gbd.spairs_reduced
     for k, g in enumerate(basis):
         assert leads[k] == _lead(g, weights)
         assert g[leads[k]] == 1
@@ -380,6 +393,70 @@ def test_seeded_basis_and_kernel_equal_unseeded(weights, data):
     seeded = syzygies_flat(gens[:cut], 5, nlead, ctx, Budget(), seed=rest)
     unseeded = syzygies_flat(gens, 5, nlead, ctx, Budget())
     assert seeded.leads == unseeded.leads and seeded.elems == unseeded.elems
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 3)])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ideal_basis_and_pairs_match_the_reference(weights, data):
+    # rank 1, where the product criterion drops the pairs of coprime leads
+    ctx = EngineContext(P, weights)
+    mono = st.tuples(*[st.integers(0, 3)] * len(weights))
+    term = st.tuples(st.just(0), mono)
+    gens = data.draw(st.lists(st.dictionaries(term, st.integers(1, P - 1),
+                                              min_size=1, max_size=3),
+                              min_size=1, max_size=5))
+    gbd = buchberger_flat([packed(ctx, g) for g in gens], ctx, Budget())
+    ref, _, spairs = _ref_buchberger(gens, ctx)
+    assert ref.leads == gbd.index.leads and ref.elems == gbd.index.elems
+    assert spairs == gbd.spairs_reduced
+    basis = [_flat(ctx, v) for v in gbd.index.elems]
+    for g in gens:
+        assert _reduces_to_zero(g, basis, weights)
+
+
+def test_product_criterion_only_in_rank_one():
+    # x^2 and y^3 have coprime leads: no S-pair for polynomials, but one
+    # at a module position, where the criterion does not hold
+    ctx = EngineContext(P, (1, 1, 1))
+    for pos, spairs in ((0, 0), (1, 1)):
+        gens = [packed(ctx, {(pos, (2, 0, 0)): 1, (pos, (0, 1, 1)): 1}),
+                packed(ctx, {(pos, (0, 3, 0)): 1})]
+        gbd = buchberger_flat(gens, ctx, Budget())
+        assert gbd.spairs_reduced == spairs
+        assert gbd.index.elems == gens
+
+
+def _word(m):
+    """E(m): exponent e_i in the F-bit field i."""
+    return sum(e << (F * i) for i, e in enumerate(m))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 4, 5), (2, 3)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_lcm_divisibility_and_coprimality(weights, data):
+    # every exponent up to the largest that packs on its own, so fields
+    # fill below their guard bits; lcms may lie past the degree ceiling
+    ctx = EngineContext(P, weights)
+    tops = [(DEGREE_LIMIT - 1) // w for w in weights]
+    exps = st.tuples(*[st.one_of(st.sampled_from([0, 1, top - 1, top]),
+                                 st.integers(0, top)) for top in tops])
+    a, c = data.draw(exps), data.draw(exps)
+    b = data.draw(st.sampled_from([
+        c, a, _lcm(a, c), tuple(map(min, a, c)),
+        tuple(0 if x else y for x, y in zip(a, c))]))    # coprime to a
+    for m in (a, b):
+        if _wdeg(weights, m) < DEGREE_LIMIT:
+            assert -ctx.mono_key(m) & ctx.mask == _word(m)
+    A, B, guard = _word(a), _word(b), ctx.guard
+    lcm = exp_lcm(A, B, guard)
+    assert lcm == exp_lcm(B, A, guard) == _word(_lcm(a, b))
+    # the guard-bit test of reduce_full, the chain filter and the M rule
+    assert ((B | guard) - A & guard == guard) == _divides(a, b)
+    assert ((lcm | guard) - A & guard == guard)
+    # the product criterion's test
+    assert (lcm == A + B) == _coprime(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,27 @@ def test_pushforward_route_returns_the_sum_of_block_tors(model_d):
     assert module_length(PresentedModule(D, h.ambient_rank, h.columns)) == 10
 
 
+def test_pushforward_length_counts_each_distinct_position_once(
+        model_c, monkeypatch):
+    # Tor_3(k, f^2_*R) over C is 25 copies of one block's Tor; its length
+    # reads 600 positions and counts each distinct pair of bounds and
+    # cycles leads once
+    from frobcheck import module_engine
+    k = residue_field(model_c.ring)
+    h = tor_frobenius(k, 2, 3, "pushforward")
+    cycles, bounds = h._cache["subquotient"]
+    pairs = [(b, z) for b, z in zip(bounds.leads_by_position(),
+                                    cycles.leads_by_position()) if b != z]
+    calls = []
+    count = module_engine.standard_monomials
+    monkeypatch.setattr(module_engine, "standard_monomials",
+                        lambda *a: calls.append(a) or count(*a))
+    assert module_length(h) == 600
+    assert len(pairs) == 600
+    assert len(calls) == len(set(pairs)) < 10
+    assert module_length(tor_frobenius(k, 2, 3, "both")) == 600
+
+
 def test_pushforward_blocks_reject_a_relation_across_classes(model_e):
     # e_0 and e_1 have classes 0 and 1 mod 2; a relation joining them is
     # not block-diagonal and is reported, not assumed away
