@@ -10,7 +10,8 @@ from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
 from .frobenius import (PushforwardModule, frobenius_complex,
                         frobenius_module, kappa_for_sop, kappa_upper_bound,
-                        pushforward_presentation, tor_frobenius)
+                        pushforward_presentation, pushforward_tor,
+                        tor_frobenius)
 from .invariants import (EulerCharacteristic, canonical_module,
                          cm_type_and_gorenstein, depth_of_module,
                          depth_of_ring, dimension_of_module,

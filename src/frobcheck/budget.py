@@ -9,10 +9,11 @@ engine invocation, so a Budget is immutable and safe to share between
 threads. The optional cancel_check callable is polled before each reduction
 of the flat Groebner engine (S-pairs and tail reduction; a kernel is one
 such Groebner call), before each row a module normal form reduces
-(``module_engine._nf``), before each monomial power the Frobenius bracket
-first reduces (``frobenius._bracket``), at each residue of the pushforward,
-once in its walk and once in its relation loop, and at each t of the kappa
-scan; raise from it to cancel a long computation.
+(``module_engine._nf``), before each monomial power m^q whose normal form
+the per-ring memo first reduces (``frobenius._power_nf``, read by the
+Frobenius bracket and by the pushforward's relations), at each residue of
+the pushforward, once in its walk and once in its relation loop, and at
+each t of the kappa scan; raise from it to cancel a long computation.
 """
 
 from __future__ import annotations

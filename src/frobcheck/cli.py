@@ -42,7 +42,8 @@ from .criteria import (CONSISTENT, PAPER_VIOLATION, CriterionReport, _fmt,
                        check_thm_kl, check_thm_main1, rigidity_scan)
 from .errors import (ArgumentError, BudgetExceededError, FrobcheckError,
                      InternalConsistencyError, ModelError, PreconditionError)
-from .frobenius import frobenius_module, kappa_upper_bound, tor_frobenius
+from .frobenius import (frobenius_module, kappa_upper_bound, pushforward_tor,
+                        tor_frobenius)
 from .invariants import cm_type_and_gorenstein, depth_of_ring
 from .module_engine import (Matrix, PresentedModule, minimal_free_resolution,
                             minimalize, module_length)
@@ -479,13 +480,18 @@ def _payload_tor(mf: ModelFile, name: str, n: int, i: int, method: str,
     lines.append(f"  module: {name}")
     lines.append(f"  n: {n}")
     lines.append(f"  i: {i}")
-    # "both" raises unless the two routes agree, so one result serves both
-    h = tor_frobenius(M, n, i, method, budget)
+    if method == "pushforward":
+        parts = pushforward_tor(M, n, i, budget)
+    else:
+        # "both" raises unless the two routes agree, so one result serves both
+        parts = ((tor_frobenius(M, n, i, method, budget), 1),)
+    zero = all(h.is_zero(budget) for h, _ in parts)
+    length = sum(k * module_length(h, budget) for h, k in parts)
     methods = ["functor", "pushforward"] if method == "both" else [method]
     for m in methods:
         lines.append(f"  {m}:")
-        lines.append(f"    zero: {_fmt(h.is_zero(budget))}")
-        lines.append(f"    length: {_fmt(module_length(h, budget))}")
+        lines.append(f"    zero: {_fmt(zero)}")
+        lines.append(f"    length: {_fmt(length)}")
     if method == "both":
         lines.append("  cross_oracle: agree")
     return "\n".join(lines), 0

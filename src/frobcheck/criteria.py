@@ -79,7 +79,7 @@ def _fmt(v) -> str:
         return "true"
     if v is False:
         return "false"
-    if v is INFINITE:
+    if v == INFINITE:   # sums of lengths give an equal float, not INFINITE
         return "INFINITE"
     return str(v)
 

@@ -7,10 +7,11 @@ of the base-changed module. The q-th power is additive over F_p, so it is
 put in normal form from a per-ring memo of the monomials' powers. The
 pushforward realizes R viewed through the n-th Frobenius as a finite
 R-module on generators indexed by its standard residues, with relations
-read off from normal forms of monomials. Over the graded R it splits into
-blocks, one per class of wdeg(a) mod q of its residues a; many blocks are
-isomorphic, and the pushforward route of Tor, like the Ext criterion,
-computes once per distinct block and weights by its count. Tor against
+read off from normal forms of monomials, x^a times a q-th power from the
+same memo. Over the graded R it splits into blocks, one per class of
+wdeg(a) mod q of its residues a; many blocks are isomorphic, and the
+pushforward route of Tor (pushforward_tor, block Tors with their counts),
+like the Ext criterion, computes once per distinct block. Tor against
 the Frobenius has the two spec'd realizations; their lengths must agree,
 which tor_frobenius can enforce in one call.
 """
@@ -21,8 +22,8 @@ import math
 from itertools import count
 from typing import Dict, Sequence, Tuple
 
-from ._engine import (DEGREE_LIMIT, Mono, mono_divides, past_ceiling,
-                      reduce_full, vec_axpy)
+from ._engine import (DEGREE_LIMIT, Mono, PackedVec, mono_divides,
+                      past_ceiling, reduce_full, vec_axpy)
 from .algebra_kernel import (Polynomial, RingModel, _minimal_monomials,
                              normal_form)
 from .budget import DEFAULT_BUDGET, Budget
@@ -48,35 +49,41 @@ def _check_minimal(M: PresentedModule) -> None:
             "presentation has a unit entry; minimalize first")
 
 
+def _power_nf(ring: RingModel, k: int, q: int,
+              budget: Budget = DEFAULT_BUDGET) -> PackedVec:
+    """NF(m^q) for k = k(m), reduced once per ring and memoized by k under
+    ("bracket_nf", q); k(m^q) = q * k, and its degree is checked against
+    the ceiling before anything is packed or stored. A miss polls the
+    cancel check. The value is the memo's own: read it, never change it.
+    """
+    memo = ring._cache.setdefault(("bracket_nf", q), {})
+    nf = memo.get(k)
+    if nf is None:
+        ctx = ring.ctx
+        d = q * (k + ctx.mask >> ctx.shift)
+        if d >= DEGREE_LIMIT:
+            raise past_ceiling(d)
+        budget.check_cancel()
+        nf = {q * k: 1}
+        if ring.ideal_gens:
+            nf = reduce_full(nf, ring.ideal_groebner(budget).index, ctx)
+        memo[k] = nf
+    return nf
+
+
 def _bracket(ring: RingModel, cols: Matrix, q: int,
              budget: Budget = DEFAULT_BUDGET) -> Matrix:
     """Entrywise q-th powers in normal form. Over F_p, c^q = c and
     [sum c m]^q = sum c m^q; normal forms are linear, so each term
-    (row, m, c) adds c * NF(m^q) at its row. NF(m^q) is reduced once per
-    ring, memoized by k(m) under ("bracket_nf", q); k(m^q) = q * k(m), and
-    its degree is checked against the ceiling before anything is packed or
-    stored. Memo values are shared, so never handed out.
+    (row, m, c) adds c * NF(m^q) (``_power_nf``) at its row.
     """
-    ctx, p = ring.ctx, ring.p
-    top, mask, shift = ctx.top, ctx.mask, ctx.shift
-    memo = ring._cache.setdefault(("bracket_nf", q), {})
+    p, top = ring.p, ring.ctx.top
     out: Matrix = []
     for col in cols:
         new = {}
         for t, c in col.items():
             k = t & top
-            nf = memo.get(k)
-            if nf is None:
-                d = q * (k + mask >> shift)
-                if d >= DEGREE_LIMIT:
-                    raise past_ceiling(d)
-                budget.check_cancel()
-                nf = {q * k: 1}
-                if ring.ideal_gens:
-                    nf = reduce_full(nf, ring.ideal_groebner(budget).index,
-                                     ctx)
-                memo[k] = nf
-            vec_axpy(new, c, t - k, nf, p)
+            vec_axpy(new, c, t - k, _power_nf(ring, k, q, budget), p)
         out.append(new)
     return out
 
@@ -188,11 +195,15 @@ def pushforward_presentation(ring: RingModel, n: int,
     standard a and minimal d with x^(qd+a) in in(I) give the relation
     x^d e_a - sum c_e x^(e div q) e_(e mod q) over NF(x^(qd+a)) = sum c_e
     x^e. Rewriting by them lowers x^(qd+a), down to terms with distinct
-    standard images, so they generate the kernel. The relations are built
-    in normal form: each x^(e div q) divides a standard x^e, so is
-    standard, and x^d is reduced when a lead of GB(I) divides it (x*y e_0
-    over x*y = 0). Memoized on the ring under ("pushforward", n); the
-    walk and the relation loop each poll the cancel check once per residue.
+    standard images, so they generate the kernel. NF(x^(qd+a)) is the
+    normal form of x^a * NF(x^(qd)), the second factor read from the
+    bracket's memo (``_power_nf``); that reduction checks the terms it
+    reads against the degree ceiling. The relations are built in normal form:
+    each x^(e div q) divides a standard x^e, so is standard, and x^d is
+    reduced when a lead of GB(I) divides it (x*y e_0 over x*y = 0).
+    Memoized on the ring under ("pushforward", n); the walk and the
+    relation loop each poll the cancel check once per residue, and each
+    memo miss polls once more.
     """
     if n < 1:
         raise ArgumentError("pushforward needs n >= 1")
@@ -218,15 +229,17 @@ def pushforward_presentation(ring: RingModel, n: int,
     for k, a in enumerate(residues):
         budget.check_cancel()
         # x^(qd + a) is in in(I) iff d >= ceil((m - a) / q) for a lead m
+        ka = ctx.mono_key(a)
         for d in _minimal_monomials(tuple(max(-((a_i - m_i) // q), 0)
                                           for m_i, a_i in zip(m, a))
                                     for m in leads):
-            e = tuple(q * d_i + a_i for d_i, a_i in zip(d, a))
+            kd = ctx.mono_key(d)
+            nf = reduce_full({t + ka: c for t, c in
+                              _power_nf(ring, kd, q, budget).items()}, gb, ctx)
             col = ctx.pack((index[tuple(x % q for x in m)],
                             tuple(x // q for x in m), p - c)
-                           for _, m, c in ctx.unpack(reduce_full(
-                               {ctx.mono_key(e): 1}, gb, ctx)))
-            head = {ctx.mono_key(d): 1}
+                           for _, m, c in ctx.unpack(nf))
+            head = {kd: 1}
             if any(mono_divides(m, d) for m in leads):
                 head = reduce_full(head, gb, ctx)
             vec_axpy(col, 1, -(k << ctx.pb), head, p)
@@ -236,51 +249,52 @@ def pushforward_presentation(ring: RingModel, n: int,
     return ring._cache[key]
 
 
+def pushforward_tor(M: PresentedModule, n: int, i: int,
+                    budget: Budget = DEFAULT_BUDGET
+                    ) -> Tuple[Tuple[PresentedModule, int], ...]:
+    """Tor_i(M, f^n R) as ((Tor_i(M, P), k), ...), one pair per count k
+    of the distinct blocks of the pushforward (``PushforwardModule.
+    blocks``), P the sum of the blocks that occur k times. Tor is additive,
+    so Tor_i(M, f^n R) is the sum of k copies of each Tor_i(M, P): it is
+    zero iff every one is, and its length is the sum of k * len.
+    """
+    # one engine call per count: splitting the distinct blocks further
+    # would add per-call work and save none
+    by_count: Dict[int, list] = {}
+    for P, k in pushforward_presentation(M.ring, n, budget).blocks(budget):
+        by_count.setdefault(k, []).append(P)
+    return tuple((tor(M, direct_sum(M.ring, Ps, budget), i, budget), k)
+                 for k, Ps in by_count.items())
+
+
 def tor_frobenius(M: PresentedModule, n: int, i: int, method: str = "functor",
                   budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-    """Tor_i(M, f^n R) by the chosen route.
-
-    method="functor" takes homology at i of the Frobenius-twisted minimal
-    resolution; method="pushforward" resolves M and tensors with the
-    distinct blocks of the pushforward (``PushforwardModule.blocks``): for
-    each count k, Tor_i(M, P) on the sum P of the blocks that occur k times
-    is computed once, and the result is the direct sum of k copies of each;
-    method="both" runs the two and insists that the functor length equals
-    the sum of k * len Tor_i(M, P) (a cross-oracle; disagreement is an
-    engine bug).
+    """Tor_i(M, f^n R) by homology at i of the Frobenius-twisted minimal
+    resolution. method="both" also runs the pushforward route
+    (``pushforward_tor``) and insists that the functor length equals the
+    sum of k * len Tor_i(M, P) (a cross-oracle; disagreement is an engine
+    bug).
     """
     if i < 0:
         raise ArgumentError("Tor index must be nonnegative")
-    if method not in ("functor", "pushforward", "both"):
-        raise ArgumentError(f"unknown Tor method {method!r}")
-    out_f = parts = None
-    if method in ("functor", "both"):
-        res = minimal_free_resolution(M, i + 1, budget)
-        if i > res.length:
-            # resolution stopped before step i, so Tor_i vanishes
-            out_f = PresentedModule.free(M.ring, 0)
-        else:
-            out_f = _twisted_homology(res, n, i, budget)
-    if method in ("pushforward", "both"):
-        # one engine call per count: splitting the distinct blocks further
-        # would add per-call work and save none
-        by_count = {}
-        for P, k in pushforward_presentation(M.ring, n, budget).blocks(budget):
-            by_count.setdefault(k, []).append(P)
-        parts = [(tor(M, direct_sum(M.ring, Ps, budget), i, budget), k)
-                 for k, Ps in by_count.items()]
-    if method == "functor":
-        return out_f
-    if method == "pushforward":
-        return direct_sum(M.ring, [h for h, k in parts for _ in range(k)],
-                          budget)
-    len_f = module_length(out_f, budget)
-    len_p = sum(k * module_length(h, budget) for h, k in parts)
-    if len_f != len_p:
-        raise InternalConsistencyError(
-            f"Tor_{i}(M, f^{n}R) cross-oracle mismatch: functor gives "
-            f"length {len_f}, pushforward {len_p}")
-    return out_f
+    if method not in ("functor", "both"):
+        raise ArgumentError(f"unknown Tor method {method!r} (the pushforward "
+                            "route is pushforward_tor)")
+    res = minimal_free_resolution(M, i + 1, budget)
+    if i > res.length:
+        # resolution stopped before step i, so Tor_i vanishes
+        out = PresentedModule.free(M.ring, 0)
+    else:
+        out = _twisted_homology(res, n, i, budget)
+    if method == "both":
+        parts = pushforward_tor(M, n, i, budget)
+        len_f = module_length(out, budget)
+        len_p = sum(k * module_length(h, budget) for h, k in parts)
+        if len_f != len_p:
+            raise InternalConsistencyError(
+                f"Tor_{i}(M, f^{n}R) cross-oracle mismatch: functor gives "
+                f"length {len_f}, pushforward {len_p}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ exactness. Each d_i d_(i+1) is checked once, not again on complexes built
 from it (``minimal_free_resolution``).
 Homology reads a module N only through relation bases (N^k's is shifted
 copies of N's), so N's columns are checked once, with its basis. A direct
-sum is built the same way, from its summands' bases.
+sum is the block-diagonal matrix of its summands' columns.
 """
 
 from __future__ import annotations
@@ -480,8 +480,8 @@ def module_length(M: PresentedModule, budget: Budget = DEFAULT_BUDGET):
     contain the leading ideal of I. The unit grading suffices: the count
     does not depend on the weights, nor on the positions' degree shifts.
     Likewise a homology module Z/(B + K) counts, per position, the
-    monomials of in(Z) outside in(B + K). Equal positions (copies in a
-    direct sum) are counted once.
+    monomials of in(Z) outside in(B + K). Positions with equal leads, as
+    the copies of N in a homology of F (x) N often have, are counted once.
     """
     if M.ambient_rank == 0:
         return 0
@@ -748,61 +748,18 @@ def _stacked(ring: RingModel, bases: Sequence[Tuple[GIndex, int]]) -> GIndex:
     return out
 
 
-def _unit_basis(ring: RingModel, rank: int) -> GIndex:
-    """The reduced basis of all of S^rank: its unit vectors, by lead."""
-    out = GIndex(ring.ctx)
-    for j in reversed(range(rank)):
-        out.add({-(j << ring.ctx.pb): 1}, -(j << ring.ctx.pb))
-    return out
-
-
-def _stacked_columns(ring: RingModel, mods: Sequence[PresentedModule]
-                     ) -> Matrix:
-    """The modules' relation columns side by side, each module's rows
-    after those of the modules before it."""
+def direct_sum(ring: RingModel, summands: Sequence[PresentedModule],
+               budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
+    """M_1 (+) ... (+) M_k, each on the generators after those before it:
+    the summands' relation columns side by side (a homology summand's are
+    built when first read)."""
     cols: Matrix = []
     off = 0
-    for M in mods:
+    for M in summands:
         s = off << ring.ctx.pb
         cols += [{t - s: c for t, c in col.items()} for col in M.columns]
         off += M.ambient_rank
-    return cols
-
-
-def direct_sum(ring: RingModel, summands: Sequence[PresentedModule],
-               budget: Budget = DEFAULT_BUDGET) -> PresentedModule:
-    """M_1 (+) ... (+) M_k, each on the generators after those before it.
-
-    Plain summands give their block-diagonal presentation. With a homology
-    summand Z/(B + K) the sum is built like N^k (``_tensor_presented``),
-    from shifted copies of the summands' bases (S^r is a plain one's Z),
-    so ``is_zero`` and ``module_length`` need no new Buchberger call; its
-    columns are built when first read.
-    """
-    parts = [M for M in summands if M.ambient_rank]
-    rank = sum(M.ambient_rank for M in parts)
-    if not any("subquotient" in M._cache for M in parts):
-        return PresentedModule(ring, rank, _stacked_columns(ring, parts),
-                               budget, trusted=True)
-    subs = [M._cache.get("subquotient") or (None, M.relations_groebner(budget))
-            for M in parts]
-    mid = sum(b.ambient_rank for _, b in subs)
-    cycles = GroebnerBasis(ring, mid, _stacked(ring, [
-        (z.index if z is not None else _unit_basis(ring, b.ambient_rank),
-         b.ambient_rank) for z, b in subs]))
-    bounds = GroebnerBasis(ring, mid, _stacked(
-        ring, [(b.index, b.ambient_rank) for _, b in subs]))
-    S = PresentedModule.free(ring, rank)
-    S._cache["subquotient"] = cycles, bounds
-
-    def build() -> Tuple[PackedVec, ...]:
-        S._cache["gb"] = GroebnerBasis(ring, rank, _stacked(
-            ring, [(M.relations_groebner(budget).index, M.ambient_rank)
-                   for M in parts]))
-        return tuple(_stacked_columns(ring, parts))
-
-    S._columns = build
-    return S
+    return PresentedModule(ring, off, cols, budget, trusted=True)
 
 
 def koszul_complex(elements: Sequence[Polynomial], M: PresentedModule

@@ -12,8 +12,10 @@ from frobcheck import (ArgumentError, FreeComplex, InternalConsistencyError,
                        frobenius_module, is_sop, kappa_for_sop,
                        kappa_upper_bound, minimal_free_resolution, minimalize,
                        module_length, normal_form, pushforward_presentation,
-                       rank_of_module, residue_field, tor_frobenius)
-from frobcheck._engine import DEGREE_LIMIT
+                       pushforward_tor, rank_of_module, residue_field,
+                       tor_frobenius)
+from frobcheck._engine import DEGREE_LIMIT, reduce_full, vec_axpy
+from frobcheck.algebra_kernel import _minimal_monomials
 from frobcheck.budget import Budget
 from frobcheck.cli import parse_polynomial, run
 from frobcheck.errors import BudgetExceededError
@@ -413,6 +415,50 @@ def test_pushforward_matches_box_reference(corpus):
             assert module_length(tor(k, pf, i)) == module_length(tor(k, ref, i))
 
 
+def _scratch_pushforward_columns(R, n, residues):
+    """Reference relations of f^n R on ``residues``, with NF(x^(qd+a))
+    reduced from x^(qd+a) itself and x^d always reduced; no memo involved.
+    Returns the nonzero columns and the d of every relation."""
+    q, p, ctx = R.p ** n, R.p, R.ctx
+    gb = R.ideal_groebner().index
+    leads = gb.lead_monos()
+    index = {a: k for k, a in enumerate(residues)}
+    cols, ds = [], []
+    for k, a in enumerate(residues):
+        for d in _minimal_monomials(tuple(max(-((a_i - m_i) // q), 0)
+                                          for m_i, a_i in zip(m, a))
+                                    for m in leads):
+            e = tuple(q * d_i + a_i for d_i, a_i in zip(d, a))
+            col = ctx.pack((index[tuple(x % q for x in m)],
+                            tuple(x // q for x in m), p - c)
+                           for _, m, c in ctx.unpack(reduce_full(
+                               {ctx.mono_key(e): 1}, gb, ctx)))
+            vec_axpy(col, 1, -(k << ctx.pb),
+                     reduce_full({ctx.mono_key(d): 1}, gb, ctx), p)
+            ds.append(d)
+            if col:
+                cols.append(col)
+    return cols, ds
+
+
+@pytest.mark.parametrize("name, n", [(r, n) for r in "BCDE" for n in (1, 2)]
+                         + [("C", 3), ("D", 3)])
+def test_pushforward_relations_from_the_bracket_memo(name, n):
+    # NF(x^(qd+a)) is x^a times the memo's NF(x^(qd)), reduced: the same
+    # columns as reducing x^(qd+a) from scratch, since normal forms are
+    # unique; a fresh ring, so the memo holds what the relations put there
+    R = load_model(f"{name.lower()}.json").ring
+    q, ctx = R.p ** n, R.ctx
+    pf = pushforward_presentation(R, n)
+    cols, ds = _scratch_pushforward_columns(R, n, pf.residues)
+    assert list(pf.presentation.columns) == cols
+    memo = R._cache[("bracket_nf", q)]
+    gb = R.ideal_groebner().index
+    for d in ds:
+        assert memo[ctx.mono_key(d)] == reduce_full(
+            {ctx.mono_key(tuple(q * x for x in d)): 1}, gb, ctx)
+
+
 def _residue_class(R, a, q):
     return sum(w * e for w, e in zip(R.weights, a)) % q
 
@@ -458,27 +504,34 @@ def test_pushforward_blocks_sum_to_the_unsplit_tor(name, corpus):
             want = module_length(tor(k, ref, i))
             assert sum(c * module_length(tor(k, blk, i))
                        for blk, c in blocks) == want
-            h = tor_frobenius(k, n, i, "pushforward")
-            assert module_length(h) == want
-            assert h.is_zero() == tor(k, ref, i).is_zero()
+            parts = pushforward_tor(k, n, i)
+            # one pair per count, in the order the counts first occur
+            assert [c for _, c in parts] == list(dict.fromkeys(counts))
+            assert sum(c * module_length(h) for h, c in parts) == want
+            assert all(h.is_zero() for h, _ in parts) == \
+                tor(k, ref, i).is_zero()
 
 
 def test_pushforward_route_returns_the_sum_of_block_tors(model_d):
-    # the direct sum's relation columns present a module of its length
+    # D's blocks occur 4 times and once; each block Tor's relation columns
+    # present a module of its length
     D = model_d.ring
-    h = tor_frobenius(residue_field(D), 1, 2, "pushforward")
-    assert module_length(h) == 10
-    assert module_length(PresentedModule(D, h.ambient_rank, h.columns)) == 10
+    parts = pushforward_tor(residue_field(D), 1, 2)
+    assert [c for _, c in parts] == [4, 1]
+    assert sum(c * module_length(h) for h, c in parts) == 10
+    for h, _ in parts:
+        assert module_length(PresentedModule(D, h.ambient_rank, h.columns)) \
+            == module_length(h)
 
 
 def test_pushforward_length_counts_each_distinct_position_once(
         model_c, monkeypatch):
-    # Tor_3(k, f^2_*R) over C is 25 copies of one block's Tor; its length
-    # reads 600 positions and counts each distinct pair of bounds and
-    # cycles leads once
+    # Tor_3(k, f^2_*R) over C is 25 copies of the Tor of one block P, a
+    # homology of F_3 (x) P; its length reads 24 positions whose pairs of
+    # bounds and cycles leads repeat, and counts each distinct pair once
     from frobcheck import module_engine
     k = residue_field(model_c.ring)
-    h = tor_frobenius(k, 2, 3, "pushforward")
+    [(h, copies)] = pushforward_tor(k, 2, 3)
     cycles, bounds = h._cache["subquotient"]
     pairs = [(b, z) for b, z in zip(bounds.leads_by_position(),
                                     cycles.leads_by_position()) if b != z]
@@ -486,9 +539,9 @@ def test_pushforward_length_counts_each_distinct_position_once(
     count = module_engine.standard_monomials
     monkeypatch.setattr(module_engine, "standard_monomials",
                         lambda *a: calls.append(a) or count(*a))
-    assert module_length(h) == 600
-    assert len(pairs) == 600
-    assert len(calls) == len(set(pairs)) < 10
+    assert copies == 25 and module_length(h) == 24
+    assert len(pairs) == 24
+    assert len(calls) == len(set(pairs)) < 5
     assert module_length(tor_frobenius(k, 2, 3, "both")) == 600
 
 
@@ -528,8 +581,8 @@ def test_tor_both_routes_at_n2_default_budget(name, capsys):
 def test_tor_frobenius_free_vanishes(model_b):
     free = PresentedModule.free(model_b.ring, 2)
     for i in (1, 2):
-        for method in ("functor", "pushforward"):
-            assert tor_frobenius(free, 1, i, method).is_zero()
+        assert tor_frobenius(free, 1, i, "functor").is_zero()
+        assert all(h.is_zero() for h, _ in pushforward_tor(free, 1, i))
 
 
 def test_tor_frobenius_regular_both_methods(model_a):
@@ -546,8 +599,10 @@ def test_tor_frobenius_node_nonzero_agreement(model_e):
 
 
 def test_tor_frobenius_bad_method(model_a):
-    with pytest.raises(ArgumentError):
-        tor_frobenius(residue_field(model_a.ring), 1, 1, "magic")
+    # the pushforward route alone is pushforward_tor, not a method
+    for method in ("magic", "pushforward"):
+        with pytest.raises(ArgumentError):
+            tor_frobenius(residue_field(model_a.ring), 1, 1, method)
 
 
 # ---------------------------------------------------------------------------

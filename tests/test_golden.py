@@ -51,6 +51,8 @@ COMMANDS = {
     "info_e": "info {e}",
     "tor_b_k_n5_i3_functor": "tor {b} -m k -n 5 -i 3 --method functor",
     "tor_c_k_n2_i3_functor": "tor {c} -m k -n 2 -i 3 --method functor",
+    # the pushforward side at n = 3: one distinct block among 125
+    "tor_c_k_n3_i3_both": "tor {c} -m k -n 3 -i 3 --method both",
     # C's pushforward splits into 5 isomorphic residue blocks
     "tor_c_k_n1_i3_pushforward": "tor {c} -m k -n 1 -i 3 --method pushforward",
     "check_gorenstein_c_ext_pushforward":

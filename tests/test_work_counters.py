@@ -20,10 +20,10 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 # op -> (S-pairs, reduction steps, most reduce_full calls)
 PINNED = {
-    "tor {C} -m k -n 1 -i 2 --method both": (194, 705, 475),
+    "tor {C} -m k -n 1 -i 2 --method both": (194, 540, 475),
     "resolve {C} -m k -L 8": (1225, 4323, 3781),
     "info {C}": (82, 165, 188),
-    "check gorenstein {C} --method ext-pushforward": (154, 548, 418),
+    "check gorenstein {C} --method ext-pushforward": (154, 388, 420),
 }
 
 
